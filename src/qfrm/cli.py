@@ -35,6 +35,7 @@ from .errors import (
     InexactDivision,
     InternalInconsistency,
     NonDivisibleWeight,
+    OutOfRange,
     QfrmError,
 )
 from .field import field_from_order
@@ -141,6 +142,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    if args.m < 0:
+        raise OutOfRange(f"m must be >= 0, got {args.m}")
     table = census_formula(args.q, args.m)
     items = table.sorted_items()
     if args.rank is not None:
@@ -353,6 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts can run past CPython's default cap on int-to-decimal
+    # conversion; lift it while this command renders, restore it after
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "classify" and not args.file:
             if args.q is None or args.m is None:
@@ -369,3 +376,5 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digit_cap)

@@ -35,7 +35,9 @@ from .spectra import coset_weight_multiset
 FAMILIES = ("rm2", "hrm2", "prm2")
 
 DEFAULT_SYMBOL_BUDGET = 1 << 34
-_CHUNK = 1 << 16
+
+# codeword weights held per block of the split enumeration; bounds its working memory
+_BLOCK_WORDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,18 @@ def _monomial_matrix(field, family, q, m):
     return np.array(rows, dtype=field.dtype), len(points)
 
 
+def _span(rows, field, n):
+    """Every linear combination of ``rows`` over the field, one per column
+    of an (n, q^r) array."""
+    add, mul = field.add_array, field.mul_array
+    span = np.zeros((n, 1), dtype=field.dtype)
+    for row in rows:
+        span = np.concatenate(
+            [add[span, mul[c][row][:, None]] for c in field.elements()], axis=1
+        )
+    return span
+
+
 def brute_force_distribution(
     family: str, q: int, m: int, max_symbols: int = DEFAULT_SYMBOL_BUDGET
 ) -> WeightDistribution:
@@ -278,6 +292,13 @@ def brute_force_distribution(
     monomials only for hrm2/prm2; plus linear and constant terms for rm2
     over q > 2; plus the constant only for binary rm2, where linear
     functions already are quadratic forms.
+
+    The enumeration is split: every codeword is low + high, with low in
+    the span of the last ceil(k/2) basis rows and high in the span of the
+    first floor(k/2). A coordinate of low + high is nonzero exactly where
+    low differs from -high, so for each block of negated high words the
+    weights against the whole low span are counted one coordinate at a
+    time, one compare per symbol, and tallied.
     """
     params = code_parameters(family, q, m)
     field = field_from_order(q)
@@ -288,19 +309,19 @@ def brute_force_distribution(
     n_words = q ** n_coeffs
     if n_words * n > max_symbols:
         raise BudgetExceeded(f"{n_words * n} symbol evaluations exceed {max_symbols}")
-    add, mul = field.add_array, field.mul_array
-    tally = [0] * (n + 1)
-    for lo in range(0, n_words, _CHUNK):
-        hi = min(lo + _CHUNK, n_words)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        acc = np.zeros((hi - lo, n), dtype=field.dtype)
-        for t in range(n_coeffs):
-            coeff = ((idx // q ** (n_coeffs - 1 - t)) % q).astype(field.dtype)
-            acc = add[acc, mul[coeff[:, None], monomials[t][None, :]]]
-        weights = n - np.count_nonzero(acc == 0, axis=1)
-        for w, c in zip(*np.unique(weights, return_counts=True)):
-            tally[int(w)] += int(c)
-    entries = {w: f for w, f in enumerate(tally) if f}
+    split = n_coeffs // 2
+    low = _span(monomials[split:], field, n)
+    neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
+    neg_high = neg[_span(monomials[:split], field, n)]
+    block = max(1, _BLOCK_WORDS // low.shape[1])
+    tally = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, neg_high.shape[1], block):
+        part = neg_high[:, lo:lo + block]
+        weights = np.zeros((part.shape[1], low.shape[1]), dtype=np.min_scalar_type(n))
+        for x in range(n):
+            weights += low[x] != part[x][:, None]
+        tally += np.bincount(weights.ravel(), minlength=n + 1)
+    entries = {w: int(f) for w, f in enumerate(tally) if f}
     return WeightDistribution(family, q, m, params, entries)
 
 

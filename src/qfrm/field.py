@@ -456,6 +456,8 @@ def field_from_order(q: int) -> FiniteField:
     """Factor q and return GF(q); q must be a prime power."""
     if not isinstance(q, int) or q < 2:
         raise NonPrime(f"{q} is not a prime power")
+    if q > MAX_ORDER:
+        raise FieldTooLarge(f"q = {q} exceeds the cap {MAX_ORDER}")
     p = 2
     while q % p:
         p += 1

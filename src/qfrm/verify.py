@@ -137,7 +137,11 @@ def check_codes(q, m, max_symbols=DEFAULT_SYMBOL_BUDGET):
         assembled = coset_assembled_distribution(q, m)
         results.append(CheckResult(name, assembled.entries == rm2_distribution(q, m).entries))
     name = f"codes prm2 q={q} m={m} = hrm2/(q-1)"
-    prm = prm2_distribution(q, m)
+    try:
+        prm = prm2_distribution(q, m)
+    except UnsupportedParameters as exc:  # prm2 with m < 1
+        results.append(CheckResult(name, True, f"not defined: {exc}", skipped=True))
+        return results
     hrm = hrm2_distribution(q, m + 1)
     scaled = {w // (q - 1): f for w, f in hrm.entries.items()}
     results.append(CheckResult(name, scaled == prm.entries))

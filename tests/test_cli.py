@@ -1,10 +1,13 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
 import json
+import sys
+import time
 
 import pytest
 
 from qfrm.cli import main, parse_form_text
+from qfrm.codes import rm2_distribution
 
 GOLD_HRM_3_4 = "1 + 1560*Z^36 + 21060*Z^48 + 18800*Z^54 + 16848*Z^60 + 780*Z^72"
 
@@ -115,6 +118,11 @@ def test_count_inconsistent(capsys):
     assert code == 2
 
 
+def test_count_rejects_negative_m(capsys):
+    code, out, err = run(capsys, "count", "--q", "3", "--m", "-2")
+    assert code == 2 and out == "" and "m must be >= 0" in err
+
+
 def test_count_rejects_non_prime_power(capsys):
     code, _, err = run(capsys, "count", "--q", "12", "--m", "2")
     assert code == 2 and "prime power" in err
@@ -167,6 +175,15 @@ def test_verify_codes(capsys):
     assert "PASS codes rm2 q=3 m=2 formula=assembled" in out
 
 
+def test_verify_codes_m0_skips(capsys):
+    code, out, _ = run(capsys, "verify", "--scope", "codes", "--q", "2", "--m", "0")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert not any(line.startswith("FAIL") for line in lines)
+    assert "SKIP codes prm2 q=2 m=0 = hrm2/(q-1) (not defined: prm2 needs m >= 1)" in lines
+    assert lines[-1] == "passed=0 failed=0 skipped=4"
+
+
 def test_verify_spectra(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", "3", "--m", "2")
     assert code == 0
@@ -190,6 +207,40 @@ def test_describe_field(capsys):
     payload = json.loads(out)
     assert payload["modulus"] == [1, 0, 1]
     assert payload["smallest_nonsquare"] == 4
+
+
+def test_describe_field_rejects_huge_order_at_once(capsys):
+    # 2^61 - 1 is prime; factoring it by trial division would not finish
+    start = time.perf_counter()
+    code, out, err = run(capsys, "describe-field", "--q", "2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dist_renders_frequencies_past_int_digit_cap(capsys, fmt):
+    # binary rm2 m=180 has k = 16291, so its largest frequencies have more
+    # than the 4300 decimal digits CPython converts by default
+    cap = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "dist", "--family", "rm2", "--q", "2", "--m", "180", "--format", fmt)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == cap
+    sys.set_int_max_str_digits(0)  # for parsing the output back below
+    try:
+        if fmt == "text":
+            entries = {}
+            for term in out.strip().split(" + "):
+                coeff, _, weight = term.partition("Z^")
+                entries[int(weight or 0)] = int(coeff.rstrip("*") or 1)
+        elif fmt == "json":
+            entries = {e["weight"]: int(e["frequency"]) for e in json.loads(out)["distribution"]}
+        else:
+            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+            entries = {int(w): int(f) for w, f in rows}
+        assert max(len(str(f)) for f in entries.values()) > 4300
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert entries == rm2_distribution(2, 180).entries
 
 
 def test_output_flag(capsys, tmp_path):

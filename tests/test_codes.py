@@ -23,6 +23,7 @@ from qfrm.codes import (
 from qfrm.errors import BudgetExceeded, UnsupportedParameters
 from qfrm.field import field_new
 from qfrm.forms import zero_count_formula
+from qfrm.verify import run_verification
 
 GOLD_RM_2_7 = (
     "1 + 10668*Z^32 + 5291328*Z^48 + 112881664*Z^56 + 300503590*Z^64 + "
@@ -81,13 +82,17 @@ def test_hrm2_single_variable():
         ("rm2", 4, 2),
         ("rm2", 2, 3),
         ("rm2", 2, 4),
+        ("rm2", 2, 6),  # k = 22
+        ("hrm2", 2, 6),  # k = 21
         ("hrm2", 2, 2),
         ("hrm2", 2, 3),
         ("hrm2", 3, 2),
         ("hrm2", 4, 2),
         ("hrm2", 5, 2),
+        ("hrm2", 3, 1),  # k = 1: the high half of the split is empty
         ("prm2", 2, 1),
         ("prm2", 2, 2),
+        ("prm2", 2, 4),  # k = 15: the two halves of the split differ in size
         ("prm2", 3, 1),
         ("prm2", 3, 2),
         ("prm2", 4, 1),
@@ -96,6 +101,13 @@ def test_hrm2_single_variable():
 )
 def test_formula_matches_brute_force(family, q, m):
     assert distribution(family, q, m).entries == brute_force_distribution(family, q, m).entries
+
+
+def test_verify_codes_default_grid():
+    results = run_verification("codes")
+    assert results
+    assert all(r.status == "PASS" for r in results), [r.name for r in results if r.status != "PASS"]
+    assert "codes prm2 q=2 m=5 formula=brute" in {r.name for r in results}
 
 
 def test_prm_binary_equals_punctured_homogeneous():
