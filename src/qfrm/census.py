@@ -102,12 +102,7 @@ def census_formula(q: int, m: int) -> CensusTable:
     return CensusTable(q, m, entries)
 
 
-def census_exhaustive(
-    q: int,
-    m: int,
-    max_forms: int = DEFAULT_FORM_BUDGET,
-    max_points: int = 1 << 24,
-) -> CensusTable:
+def census_exhaustive(q: int, m: int, max_forms: int = DEFAULT_FORM_BUDGET) -> CensusTable:
     """Classify every coefficient table on GF(q)^m and tally by (rank, type)."""
     fld = field_from_order(q)
     dim = triangle_size(m)
@@ -118,7 +113,7 @@ def census_exhaustive(
     tally: Counter = Counter()
     split: Counter = Counter()
     for coeffs in itertools.product(range(q), repeat=dim):
-        rt = classify(QuadraticForm(fld, m, coeffs), max_points=max_points)
+        rt = classify(QuadraticForm(fld, m, coeffs))
         if rt.rank % 2:
             tally[(rt.rank, label)] += 1
             if q % 2:

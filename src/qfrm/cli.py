@@ -118,7 +118,7 @@ def _cmd_classify(args) -> int:
         form = _parse_coeff_body(args.coeffs, args.q, args.m)
     else:
         raise QfrmError("classify needs --coeffs or --file")
-    rt = classify(form, max_points=args.max_points)
+    rt = classify(form)
     q, m = form.field.q, form.m
     zeros = zero_count_formula(rt.rank, rt.type_tag, q, m)
     canonical = canonical_form(form.field, m, rt.rank, rt.type_tag)
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--coeffs", help="space-separated c[i][j]=v entries (needs --q/--m)")
     p.add_argument("--file", help="file holding the full 'q=.. m=..; ...' form text")
-    p.add_argument("--max-points", type=int, default=DEFAULT_POINT_BUDGET)
     _add_common(p)
     p.set_defaults(func=_cmd_classify)
 

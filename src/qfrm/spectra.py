@@ -193,7 +193,9 @@ def _scaled(rows, scale, population):
     for value, freq in rows:
         if freq < 0:
             raise InternalInconsistency("negative row frequency")
-        out[value] += freq * scale
+        # an empty row may carry a meaningless value, such as q ** -1 at m = 0
+        if freq:
+            out[value] += freq * scale
     return SpectrumMultiset(dict(out), population)
 
 

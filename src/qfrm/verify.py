@@ -70,10 +70,10 @@ def valid_classes(q: int, rank: int):
     return ("zero", "nonzero")
 
 
-def check_census(q, m, max_forms=1 << 26, max_points=DEFAULT_POINT_BUDGET):
+def check_census(q, m, max_forms=1 << 26):
     name = f"census q={q} m={m}"
     try:
-        exhaustive = census_exhaustive(q, m, max_forms=max_forms, max_points=max_points)
+        exhaustive = census_exhaustive(q, m, max_forms=max_forms)
     except BudgetExceeded as exc:
         return [CheckResult(name, True, str(exc), skipped=True)]
     formula = census_formula(q, m)
@@ -158,7 +158,7 @@ def run_verification(
     results = []
     if scope in ("census", "all"):
         for q, m in pairs or CENSUS_GRID:
-            results += check_census(q, m, max_points=max_points)
+            results += check_census(q, m)
     if scope in ("spectra", "all"):
         for q, m in pairs or SPECTRA_GRID:
             results += check_spectra(q, m, max_evals=max_points)

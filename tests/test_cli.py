@@ -74,6 +74,13 @@ def test_classify_odd_q_product(capsys):
     assert "rank=2" in out and "type=plus" in out
 
 
+def test_classify_even_q_past_enumeration_frontier(capsys):
+    # 2^25 points: the type comes from the Arf invariant, not from counting zeros
+    code, out, _ = run(capsys, "classify", "--q", "2", "--m", "25", "--coeffs", "c[1][2]=1")
+    assert code == 0
+    assert "rank=2" in out and "type=plus" in out and "zeros=25165824" in out
+
+
 def test_classify_file_and_json(capsys, tmp_path):
     path = tmp_path / "form.txt"
     path.write_text("q=2 m=3; c[1][2]=1 c[3][3]=1\n")

@@ -42,7 +42,9 @@ F3 = field_new(3)
 F4 = field_new(2, 2)
 F5 = field_new(5)
 
-SMALL_FIELDS = {2: F2, 3: F3, 4: F4, 5: F5, 7: field_new(7), 8: field_new(2, 3), 9: field_new(3, 2)}
+SMALL_FIELDS = {
+    2: F2, 3: F3, 4: F4, 5: F5, 7: field_new(7), 8: field_new(2, 3), 9: field_new(3, 2), 16: field_new(2, 4),
+}
 
 
 def form(field, m, entries):
@@ -191,13 +193,16 @@ def test_zero_count_budget():
 
 @pytest.mark.parametrize(
     "q,m",
-    [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2), (7, 1), (8, 1), (9, 1)],
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2),
+     (7, 1), (8, 1), (8, 2), (9, 1), (16, 2)],
 )
 def test_formula_matches_enumeration_on_every_form(q, m):
     fld = SMALL_FIELDS[q]
     for coeffs in itertools.product(range(q), repeat=triangle_size(m)):
         Q = QuadraticForm(fld, m, coeffs)
         rt = classify(Q)
+        # the radical-based rank is independent of the symplectic reduction
+        assert rt.rank == rank_of(Q)
         assert zero_count_exhaustive(Q) == zero_count_formula(rt.rank, rt.type_tag, q, m)
 
 
@@ -326,9 +331,16 @@ def test_classify_canonical_roundtrip(q):
                 assert classify(canonical_form(fld, m, r, tag)) == RankType(r, tag)
 
 
-def test_classify_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        classify(canonical_form(F2, 4, 2, 1), max_points=8)
+@pytest.mark.parametrize("q", [2, 4])
+def test_classify_past_enumeration_frontier(q):
+    # GF(q)^30 has far too many points to count zeros; the class must come
+    # back through a random change of variables all the same
+    fld = SMALL_FIELDS[q]
+    m = 30
+    A = random_substitution(random.Random(q), fld, m)
+    for r in range(0, m + 1):
+        for tag in valid_tags(q, r):
+            assert classify(substitute(canonical_form(fld, m, r, tag), A)) == RankType(r, tag)
 
 
 # -- substitutions ---------------------------------------------------------------------

@@ -94,6 +94,16 @@ def test_populations():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_m0_spectra_are_exact(q):
+    # at m = 0 the generic row value q^(m-1) is the float 1/q; it must not leak
+    parts = [spectrum_merged(q, 0, 0, 1)]
+    parts += [spectrum_formula(CosetQuery(q, 0, 0, 1, c)) for c in ("zero", "nonzero")]
+    for part in parts:
+        assert all(type(v) is int for v in part.entries)
+    assert parts[0].entries == merged_oracle(QuadraticForm.zero(FIELDS[q], 0)).entries
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_formula_equals_oracle(q, m):
     fld = FIELDS[q]
