@@ -1,8 +1,11 @@
 """Counts of quadratic forms on GF(q)^m per (rank, type) class.
 
 ``census_formula`` evaluates the closed-form counts in exact integer
-arithmetic; ``census_exhaustive`` classifies every coefficient table and
-tallies, serving as the oracle for the formulas. Odd ranks over odd q
+arithmetic, the whole table in one pass per (q, m): each rank's product
+follows from the previous one by a ratio, so no caller rebuilds a rank's
+product from scratch (``count_even_rank`` and ``count_odd_rank`` read one
+entry of that table). ``census_exhaustive`` classifies every coefficient
+table and tallies, serving as the oracle for the formulas. Odd ranks over odd q
 are stored under a merged ``odd_total`` key; the exhaustive pass also
 records the per-type split, which is informative only and never
 compared against a formula.
@@ -34,14 +37,7 @@ def count_odd_rank(q: int, m: int, r: int) -> int:
     """Number of forms of odd rank r on GF(q)^m (both types combined for odd q)."""
     if r % 2 == 0 or not 1 <= r <= m:
         raise OutOfRange(f"rank {r} is not an odd value in [1, {m}]")
-    j = (r - 1) // 2
-    num = q ** (j * j + j)
-    for i in range(m - 2 * j, m + 1):
-        num *= q ** i - 1
-    den = 1
-    for i in range(1, j + 1):
-        den *= q ** (2 * i) - 1
-    return _exact_div(num, den)
+    return census_formula(q, m).entries[(r, _odd_rank_label(q))]
 
 
 def count_even_rank(q: int, m: int, r: int, tau: int) -> int:
@@ -50,14 +46,7 @@ def count_even_rank(q: int, m: int, r: int, tau: int) -> int:
         raise OutOfRange(f"rank {r} is not an even value in [2, {m}]")
     if tau not in (1, -1):
         raise OutOfRange(f"type must be +1 or -1, got {tau!r}")
-    j = r // 2
-    num = q ** (j * j) * (q ** j + tau)
-    for i in range(m - 2 * j + 1, m + 1):
-        num *= q ** i - 1
-    den = 2
-    for i in range(1, j + 1):
-        den *= q ** (2 * i) - 1
-    return _exact_div(num, den)
+    return census_formula(q, m).entries[(r, "plus" if tau == 1 else "minus")]
 
 
 @dataclass
@@ -90,15 +79,28 @@ def _odd_rank_label(q: int) -> str:
 
 
 def census_formula(q: int, m: int) -> CensusTable:
-    """Closed-form census over all admissible (rank, type) classes."""
+    """Closed-form census over all admissible (rank, type) classes, in one
+    pass over the ranks.
+
+    With P_j = prod_{i=m-2j+1..m} (q^i - 1) / prod_{i=1..j} (q^{2i} - 1),
+    N(2j, tau) = q^{j^2} (q^j + tau) P_j / 2 and
+    N(2j + 1) = q^{j^2+j} (q^{m-2j} - 1) P_j; P_j follows from P_{j-1} by
+    one ratio, so the census costs O(m) big-integer steps.
+    """
     entries: dict[tuple[int, str], int] = {(0, "plus"): 1}
     label = _odd_rank_label(q)
-    for r in range(1, m + 1):
-        if r % 2:
-            entries[(r, label)] = count_odd_rank(q, m, r)
-        else:
-            entries[(r, "plus")] = count_even_rank(q, m, r, 1)
-            entries[(r, "minus")] = count_even_rank(q, m, r, -1)
+    p = 1  # P_j
+    for j in range(m // 2 + 1):
+        if j:
+            head = q ** (j * j) * p
+            entries[(2 * j, "plus")] = _exact_div(head * (q ** j + 1), 2)
+            entries[(2 * j, "minus")] = _exact_div(head * (q ** j - 1), 2)
+        if 2 * j + 1 <= m:
+            entries[(2 * j + 1, label)] = q ** (j * j + j) * p * (q ** (m - 2 * j) - 1)
+        if 2 * j + 2 <= m:
+            p = _exact_div(
+                p * (q ** (m - 2 * j) - 1) * (q ** (m - 2 * j - 1) - 1), q ** (2 * j + 2) - 1
+            )
     return CensusTable(q, m, entries)
 
 

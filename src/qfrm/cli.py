@@ -3,7 +3,9 @@
 Subcommands: dist, classify, count, spectrum, verify, describe-field.
 Data goes to stdout (or --output), diagnostics to stderr. Exit codes:
 0 success, 1 verification mismatch, 2 usage or parameter error,
-3 internal invariant violation.
+3 internal invariant violation. ``dist``, ``count`` and ``spectrum`` exit 2
+at once when the largest number they would print exceeds
+``MAX_OUTPUT_BITS`` bits; the check runs before any big integer is built.
 
 Coefficient text grammar (classify input and canonical output)::
 
@@ -20,12 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from .census import census_formula
 from .codes import (
     DEFAULT_SYMBOL_BUDGET,
+    code_dimension,
     code_parameters,
     distribution,
     weight_enumerator_text,
@@ -54,6 +58,25 @@ _COEFF_RE = re.compile(r"c\[(\d+)\]\[(\d+)\]=(\d+)")
 _HEAD_RE = re.compile(r"^\s*q=(\d+)\s+m=(\d+)\s*;(.*)$", re.DOTALL)
 
 _TAGS = {"plus": 1, "minus": -1, "untyped": None}
+
+# Largest number, in bits, that dist, count or spectrum may print. Decimal
+# rendering dominates near this size (a table at the cap takes a second or
+# two), and every table of the test suite and the benchmark stays inside it.
+MAX_OUTPUT_BITS = 1 << 16
+
+
+def _check_output_size(q: int, exponent: int) -> None:
+    """Refuse a command whose largest printed number is about q**exponent
+    when that exceeds MAX_OUTPUT_BITS; no power of q is built."""
+    # log2 q in fixed point with 32 fractional bits, rounded up: the product
+    # stays an int, so no exponent, however long, overflows a float
+    log2_q = math.ceil(math.log2(q) * (1 << 32))
+    bits = (exponent * log2_q + (1 << 32) - 1) >> 32
+    if bits > MAX_OUTPUT_BITS:
+        raise OutOfRange(
+            f"output would hold numbers of about {bits} bits ({q}^{exponent}), "
+            f"over the cap of {MAX_OUTPUT_BITS} bits"
+        )
 
 
 def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
@@ -100,6 +123,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_dist(args) -> int:
+    _check_output_size(args.q, code_dimension(args.family, args.q, args.m))
     wd = distribution(args.family, args.q, args.m)
     if args.format == "json":
         _emit(args, json.dumps(wd.to_json_dict()))
@@ -144,6 +168,7 @@ def _cmd_classify(args) -> int:
 def _cmd_count(args) -> int:
     if args.m < 0:
         raise OutOfRange(f"m must be >= 0, got {args.m}")
+    _check_output_size(args.q, args.m * (args.m + 1) // 2)
     table = census_formula(args.q, args.m)
     items = table.sorted_items()
     if args.rank is not None:
@@ -191,6 +216,7 @@ def _infer_tag(q: int, rank: int, type_name: str | None):
 
 
 def _cmd_spectrum(args) -> int:
+    _check_output_size(args.q, args.m + 1)
     tag = _infer_tag(args.q, args.rank, args.type)
     if args.c_class == "merged":
         spectrum = spectrum_merged(args.q, args.m, args.rank, tag)

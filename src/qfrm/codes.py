@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import count_even_rank, count_odd_rank, census_formula
+# count_even_rank and count_odd_rank stay importable here: perfbench/tracing.py
+# wraps them under this module's names
+from .census import census_formula, count_even_rank, count_odd_rank  # noqa: F401
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -98,58 +100,71 @@ class WeightDistribution:
         return "\n".join(lines)
 
 
-def code_parameters(family: str, q: int, m: int) -> CodeParameters:
-    """Exact [n, k, d] for the family; guards the undefined corners."""
+def code_dimension(family: str, q: int, m: int) -> int:
+    """The dimension k of the family, with no power of q built; guards the
+    undefined corners."""
     if family not in FAMILIES:
         raise UnsupportedParameters(f"unknown family {family!r}")
     if family == "rm2":
         if q == 2:
             if m < 2:
                 raise UnsupportedParameters("binary rm2 needs m >= 2")
-            return CodeParameters(2 ** m, (m * m + m + 2) // 2, 2 ** (m - 2))
+            return (m * m + m + 2) // 2
         if m < 1:
             raise UnsupportedParameters("rm2 needs m >= 1")
-        return CodeParameters(q ** m, (m * m + 3 * m + 2) // 2, (q - 2) * q ** (m - 1))
+        return (m * m + 3 * m + 2) // 2
     if m < 1:
         raise UnsupportedParameters(f"{family} needs m >= 1")
+    if family == "hrm2":
+        return m * (m + 1) // 2
+    return (m + 1) * (m + 2) // 2
+
+
+def code_parameters(family: str, q: int, m: int) -> CodeParameters:
+    """Exact [n, k, d] for the family; guards the undefined corners."""
+    k = code_dimension(family, q, m)
+    if family == "rm2":
+        return CodeParameters(q ** m, k, 2 ** (m - 2) if q == 2 else (q - 2) * q ** (m - 1))
     if family == "hrm2":
         if m == 1:
             # the general d expression degenerates at m = 1; both corners are [q, 1, q-1]
             # except binary, whose two codewords are 0 and (0, 1), so d = 1
-            return CodeParameters(q, 1, q - 1 if q > 2 else 1)
-        return CodeParameters(q ** m, m * (m + 1) // 2, (q - 1) ** 2 * q ** (m - 2))
-    return CodeParameters(
-        (q ** (m + 1) - 1) // (q - 1), (m + 1) * (m + 2) // 2, (q - 1) * q ** (m - 1)
-    )
+            return CodeParameters(q, k, q - 1 if q > 2 else 1)
+        return CodeParameters(q ** m, k, (q - 1) ** 2 * q ** (m - 2))
+    return CodeParameters((q ** (m + 1) - 1) // (q - 1), k, (q - 1) * q ** (m - 1))
 
 
-def _v_odd(q, m, r):
-    return count_odd_rank(q, m, r) if r <= m else 0
+def _census(q, m):
+    """One census pass: every (rank, type) count, and the odd-rank counts
+    keyed by rank alone."""
+    entries = census_formula(q, m).entries
+    return entries, {r: c for (r, _), c in entries.items() if r % 2}
 
 
 # -- closed-form distributions -----------------------------------------------------
 
 def _rm2_binary_entries(m: int) -> dict[int, int]:
+    census, odd = _census(2, m)
     ent: Counter = Counter({0: 1, 2 ** m: 1})
-    odd_total = sum(_v_odd(2, m, r) for r in range(1, m + 1, 2))
-    ent[2 ** (m - 1)] += 2 * odd_total
+    ent[2 ** (m - 1)] += 2 * sum(odd.values())
     for j in range(1, m // 2 + 1):
-        both = count_even_rank(2, m, 2 * j, 1) + count_even_rank(2, m, 2 * j, -1)
+        both = census[(2 * j, "plus")] + census[(2 * j, "minus")]
         ent[2 ** (m - 1) + 2 ** (m - j - 1)] += both
         ent[2 ** (m - 1) - 2 ** (m - j - 1)] += both
     return dict(ent)
 
 
 def _rm2_general_entries(q: int, m: int, k: int) -> dict[int, int]:
+    census, odd = _census(q, m)
     ent: Counter = Counter({0: 1})
     base = q ** m - q ** (m - 1)
     for j in range(1, m // 2 + 1):
-        odd_part = (q - 1) * q ** (2 * j + 1) * _v_odd(q, m, 2 * j + 1)
+        odd_part = (q - 1) * q ** (2 * j + 1) * odd.get(2 * j + 1, 0)
         if odd_part % 2:
             raise InternalInconsistency("odd-rank row frequency is not even")
         odd_part //= 2
-        for tau in (1, -1):
-            v = count_even_rank(q, m, 2 * j, tau)
+        for tau, label in ((1, "plus"), (-1, "minus")):
+            v = census[(2 * j, label)]
             ent[base - tau * q ** (m - j - 1) * (q - 1)] += q ** (2 * j) * v
             ent[base + tau * q ** (m - j - 1)] += (q - 1) * q ** (2 * j) * v + odd_part
     low_row = q * (q - 1) * (q ** m - 1) // 2
@@ -158,11 +173,9 @@ def _rm2_general_entries(q: int, m: int, k: int) -> dict[int, int]:
     # balanced row, double entry: explicit expression vs q^k minus the rest
     explicit = q ** k - q
     for j in range(1, m // 2 + 1):
-        explicit -= q ** (2 * j + 1) * (
-            count_even_rank(q, m, 2 * j, 1) + count_even_rank(q, m, 2 * j, -1)
-        )
+        explicit -= q ** (2 * j + 1) * (census[(2 * j, "plus")] + census[(2 * j, "minus")])
     for j in range(0, m // 2 + 1):
-        explicit -= (q - 1) * q ** (2 * j + 1) * _v_odd(q, m, 2 * j + 1)
+        explicit -= (q - 1) * q ** (2 * j + 1) * odd.get(2 * j + 1, 0)
     implicit = q ** k - sum(ent.values())
     if explicit != implicit:
         raise InternalInconsistency(
@@ -183,13 +196,13 @@ def rm2_distribution(q: int, m: int) -> WeightDistribution:
 
 
 def _hrm2_entries(q: int, m: int) -> dict[int, int]:
+    census, odd = _census(q, m)
     ent: Counter = Counter({0: 1})
-    odd_total = sum(_v_odd(q, m, r) for r in range(1, m + 1, 2))
-    ent[q ** m - q ** (m - 1)] += odd_total
+    ent[q ** m - q ** (m - 1)] += sum(odd.values())
     for j in range(1, m // 2 + 1):
-        for tau in (1, -1):
+        for tau, label in ((1, "plus"), (-1, "minus")):
             w = q ** m - q ** (m - 1) - tau * q ** (m - j - 1) * (q - 1)
-            ent[w] += count_even_rank(q, m, 2 * j, tau)
+            ent[w] += census[(2 * j, label)]
     return dict(ent)
 
 
@@ -208,13 +221,12 @@ def prm2_distribution(q: int, m: int) -> WeightDistribution:
     must reproduce this table exactly.
     """
     params = code_parameters("prm2", q, m)
-    n_vars = m + 1
+    census, odd = _census(q, m + 1)
     ent: Counter = Counter({0: 1})
-    odd_total = sum(_v_odd(q, n_vars, r) for r in range(1, n_vars + 1, 2))
-    ent[q ** m] += odd_total
+    ent[q ** m] += sum(odd.values())
     for j in range(1, (m + 1) // 2 + 1):
-        for tau in (1, -1):
-            ent[q ** m - tau * q ** (m - j)] += count_even_rank(q, n_vars, 2 * j, tau)
+        for tau, label in ((1, "plus"), (-1, "minus")):
+            ent[q ** m - tau * q ** (m - j)] += census[(2 * j, label)]
     entries = dict(ent)
     scaled: Counter = Counter()
     for w, f in hrm2_distribution(q, m + 1).entries.items():
@@ -301,14 +313,14 @@ def brute_force_distribution(
     time, one compare per symbol, and tallied.
     """
     params = code_parameters(family, q, m)
+    n_symbols = q ** params.k * params.n
+    if n_symbols > max_symbols:
+        raise BudgetExceeded(f"{n_symbols} symbol evaluations exceed {max_symbols}")
     field = field_from_order(q)
     monomials, n = _monomial_matrix(field, family, q, m)
     n_coeffs = len(monomials)
-    if n_coeffs != params.k:
-        raise InternalInconsistency("coefficient count differs from the code dimension")
-    n_words = q ** n_coeffs
-    if n_words * n > max_symbols:
-        raise BudgetExceeded(f"{n_words * n} symbol evaluations exceed {max_symbols}")
+    if n_coeffs != params.k or n != params.n:
+        raise InternalInconsistency("monomial matrix differs from the code parameters")
     split = n_coeffs // 2
     low = _span(monomials[split:], field, n)
     neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)

@@ -14,6 +14,43 @@ from qfrm.errors import BudgetExceeded, OutOfRange
 SWEEP = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in range(0, 9)]
 
 
+# Reference counts: each rank's product built from scratch, independently of
+# the ratio recurrence that census_formula runs over the ranks.
+def reference_odd_rank(q, m, r):
+    j = (r - 1) // 2
+    num = q ** (j * j + j)
+    for i in range(m - 2 * j, m + 1):
+        num *= q ** i - 1
+    den = 1
+    for i in range(1, j + 1):
+        den *= q ** (2 * i) - 1
+    assert num % den == 0
+    return num // den
+
+
+def reference_even_rank(q, m, r, tau):
+    j = r // 2
+    num = q ** (j * j) * (q ** j + tau)
+    for i in range(m - 2 * j + 1, m + 1):
+        num *= q ** i - 1
+    den = 2
+    for i in range(1, j + 1):
+        den *= q ** (2 * i) - 1
+    assert num % den == 0
+    return num // den
+
+
+def reference_census(q, m):
+    entries = {(0, "plus"): 1}
+    for r in range(1, m + 1):
+        if r % 2:
+            entries[(r, "untyped" if q % 2 == 0 else "odd_total")] = reference_odd_rank(q, m, r)
+        else:
+            entries[(r, "plus")] = reference_even_rank(q, m, r, 1)
+            entries[(r, "minus")] = reference_even_rank(q, m, r, -1)
+    return entries
+
+
 def test_count_examples():
     assert count_odd_rank(3, 4, 1) == 3 ** 4 - 1 == 80
     assert count_odd_rank(2, 3, 3) == 28
@@ -52,10 +89,23 @@ def test_census_formula_examples():
     assert census_formula(5, 0).entries == {(0, "plus"): 1}
 
 
-@pytest.mark.parametrize("q,m", SWEEP)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_formula_equals_reference_products(q):
+    # reaches far past the exhaustive oracle's frontier; the key order is the
+    # rank order too
+    for m in range(0, 61):
+        assert list(census_formula(q, m).entries.items()) == list(reference_census(q, m).items())
+    for r in range(1, 60, 2):
+        assert count_odd_rank(q, 60, r) == reference_odd_rank(q, 60, r)
+        assert count_even_rank(q, 60, r + 1, -1) == reference_even_rank(q, 60, r + 1, -1)
+
+
+@pytest.mark.parametrize(
+    "q,m", SWEEP + [(q, m) for q in (2, 3) for m in range(9, 201)]
+)
 def test_totals_identity(q, m):
     # the per-class counts sum to the size of the coefficient space,
-    # and every division in the product formulas is exact (no exception fires)
+    # and every division in the recurrence is exact (no exception fires)
     assert census_formula(q, m).total() == q ** (m * (m + 1) // 2)
 
 

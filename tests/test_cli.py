@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qfrm.cli import main, parse_form_text
+from qfrm.cli import MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import rm2_distribution
 
 GOLD_HRM_3_4 = "1 + 1560*Z^36 + 21060*Z^48 + 18800*Z^54 + 16848*Z^60 + 780*Z^72"
@@ -191,6 +191,16 @@ def test_verify_codes_m0_skips(capsys):
     assert lines[-1] == "passed=0 failed=0 skipped=4"
 
 
+def test_verify_codes_past_the_symbol_budget_skips(capsys):
+    # the budget is checked before any point of the 2^24-point domain is listed
+    code, out, _ = run(capsys, "verify", "--scope", "codes", "--q", "2", "--m", "24")
+    assert code == 0
+    lines = out.strip().splitlines()
+    for family in ("rm2", "hrm2", "prm2"):
+        assert any(line.startswith(f"SKIP codes {family} q=2 m=24 formula=brute (") for line in lines)
+    assert lines[-1] == "passed=1 failed=0 skipped=3"
+
+
 def test_verify_spectra(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", "3", "--m", "2")
     assert code == 0
@@ -248,6 +258,31 @@ def test_dist_renders_frequencies_past_int_digit_cap(capsys, fmt):
     finally:
         sys.set_int_max_str_digits(cap)
     assert entries == rm2_distribution(2, 180).entries
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["count", "--q", "3", "--m", "5000"], 19815994),
+    (["spectrum", "--q", "3", "--m", "100000000", "--rank", "2", "--type", "plus"], 158496252),
+    (["dist", "--family", "hrm2", "--q", "2", "--m", "3000"], 4501500),
+    (["dist", "--family", "rm2", "--q", "3", "--m", "400"], 127750),
+    (["spectrum", "--q", "2", "--m", "65536", "--rank", "0"], 65537),
+])
+def test_output_size_cap_exits_at_once(capsys, argv, bits):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"about {bits} bits" in err and f"cap of {MAX_OUTPUT_BITS} bits" in err
+
+
+def test_output_size_cap_edge_answers(capsys):
+    # the population 2^65536 (19,729 digits) is the largest number at m = 65535
+    code, out, _ = run(capsys, "spectrum", "--q", "2", "--m", "65535", "--rank", "0")
+    assert code == 0
+    population = out.splitlines()[0].removeprefix("population=")
+    assert len(population) == 19729 and int(population[-12:]) == pow(2, 65536, 10 ** 12)
+    code, out, _ = run(capsys, "count", "--q", "2", "--m", "361", "--rank", "0")
+    assert code == 0 and out == "1\n"
 
 
 def test_output_flag(capsys, tmp_path):

@@ -2,6 +2,7 @@
 identities between the three families."""
 
 import math
+import time
 
 import pytest
 
@@ -175,6 +176,14 @@ def test_hrm_frequencies_are_census_weighted_zero_counts(q, m):
 def test_brute_force_budget():
     with pytest.raises(BudgetExceeded):
         brute_force_distribution("rm2", 3, 3, max_symbols=1000)
+
+
+def test_brute_force_budget_checked_before_the_domain():
+    # hrm2 q=2 m=22 has 2^22 points; listing them alone takes tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        brute_force_distribution("hrm2", 2, 22)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerator_formatting():
