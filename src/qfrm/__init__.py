@@ -26,10 +26,12 @@ from .codes import (
 )
 from .field import FiniteField, field_from_order, field_new
 from .forms import (
+    TYPE_LABELS,
     BilinearForm,
     QuadraticForm,
     RankType,
     Substitution,
+    admissible_tags,
     bilinear_of,
     canonical_form,
     classify,
@@ -46,12 +48,11 @@ from .forms import (
 from .spectra import (
     CosetQuery,
     SpectrumMultiset,
+    constant_classes,
     coset_weight_multiset,
     merged_oracle,
-    spectrum_even_q,
     spectrum_formula,
     spectrum_merged,
-    spectrum_odd_q,
     spectrum_oracle,
 )
 

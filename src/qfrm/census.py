@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceeded, InexactDivision, OutOfRange
 from .field import field_from_order
-from .forms import QuadraticForm, classify, triangle_size
+from .forms import TYPE_LABELS, QuadraticForm, classify, triangle_size
 
 DEFAULT_FORM_BUDGET = 1 << 26
 
@@ -46,7 +46,7 @@ def count_even_rank(q: int, m: int, r: int, tau: int) -> int:
         raise OutOfRange(f"rank {r} is not an even value in [2, {m}]")
     if tau not in (1, -1):
         raise OutOfRange(f"type must be +1 or -1, got {tau!r}")
-    return census_formula(q, m).entries[(r, "plus" if tau == 1 else "minus")]
+    return census_formula(q, m).entries[(r, TYPE_LABELS[tau])]
 
 
 @dataclass
@@ -75,7 +75,7 @@ class CensusTable:
 
 
 def _odd_rank_label(q: int) -> str:
-    return "untyped" if q % 2 == 0 else "odd_total"
+    return TYPE_LABELS[None] if q % 2 == 0 else "odd_total"
 
 
 def census_formula(q: int, m: int) -> CensusTable:
@@ -87,14 +87,14 @@ def census_formula(q: int, m: int) -> CensusTable:
     N(2j + 1) = q^{j^2+j} (q^{m-2j} - 1) P_j; P_j follows from P_{j-1} by
     one ratio, so the census costs O(m) big-integer steps.
     """
-    entries: dict[tuple[int, str], int] = {(0, "plus"): 1}
+    entries: dict[tuple[int, str], int] = {(0, TYPE_LABELS[1]): 1}
     label = _odd_rank_label(q)
     p = 1  # P_j
     for j in range(m // 2 + 1):
         if j:
             head = q ** (j * j) * p
-            entries[(2 * j, "plus")] = _exact_div(head * (q ** j + 1), 2)
-            entries[(2 * j, "minus")] = _exact_div(head * (q ** j - 1), 2)
+            for tau in (1, -1):
+                entries[(2 * j, TYPE_LABELS[tau])] = _exact_div(head * (q ** j + tau), 2)
         if 2 * j + 1 <= m:
             entries[(2 * j + 1, label)] = q ** (j * j + j) * p * (q ** (m - 2 * j) - 1)
         if 2 * j + 2 <= m:

@@ -3,9 +3,10 @@
 Subcommands: dist, classify, count, spectrum, verify, describe-field.
 Data goes to stdout (or --output), diagnostics to stderr. Exit codes:
 0 success, 1 verification mismatch, 2 usage or parameter error,
-3 internal invariant violation. ``dist``, ``count`` and ``spectrum`` exit 2
-at once when the largest number they would print exceeds
-``MAX_OUTPUT_BITS`` bits; the check runs before any big integer is built.
+3 internal invariant violation. ``dist``, ``count``, ``spectrum`` and
+``verify`` exit 2 at once when the largest number they would print (for
+``verify``, build) exceeds ``MAX_OUTPUT_BITS`` bits; the check runs before
+any big integer is built.
 
 Coefficient text grammar (classify input and canonical output)::
 
@@ -45,7 +46,9 @@ from .errors import (
 from .field import field_from_order
 from .forms import (
     DEFAULT_POINT_BUDGET,
+    TYPE_LABELS,
     QuadraticForm,
+    admissible_tags,
     canonical_form,
     classify,
     triangle_pairs,
@@ -57,11 +60,10 @@ from .verify import run_verification
 _COEFF_RE = re.compile(r"c\[(\d+)\]\[(\d+)\]=(\d+)")
 _HEAD_RE = re.compile(r"^\s*q=(\d+)\s+m=(\d+)\s*;(.*)$", re.DOTALL)
 
-_TAGS = {"plus": 1, "minus": -1, "untyped": None}
-
-# Largest number, in bits, that dist, count or spectrum may print. Decimal
-# rendering dominates near this size (a table at the cap takes a second or
-# two), and every table of the test suite and the benchmark stays inside it.
+# Largest number, in bits, that dist, count, spectrum or verify may print or
+# build. Decimal rendering dominates near this size (a table at the cap takes
+# a second or two), and every table of the test suite and the benchmark stays
+# inside it.
 MAX_OUTPUT_BITS = 1 << 16
 
 
@@ -172,20 +174,16 @@ def _cmd_count(args) -> int:
     table = census_formula(args.q, args.m)
     items = table.sorted_items()
     if args.rank is not None:
-        tag = _TAGS.get(args.type) if args.type else None
-        if args.rank % 2 == 0 and args.type is None and args.rank > 0:
-            raise InconsistentRankType("even ranks need --type plus|minus")
-        if args.rank % 2 == 1 and args.type in ("plus", "minus"):
+        labels = [label for (rank, label), _ in items if rank == args.rank]
+        wanted = [label for label in labels if args.type in (None, label)]
+        if len(wanted) != 1:
             raise InconsistentRankType(
-                "odd-rank counts are reported as a single total, drop --type"
+                f"no single census class for rank={args.rank} type={args.type}; "
+                f"rank {args.rank} has classes: {' '.join(labels) or 'none'}"
             )
-        wanted = [(rt, lbl) for (rt, lbl) in table.entries if rt == args.rank]
-        if args.type:
-            wanted = [(rt, lbl) for (rt, lbl) in wanted if _TAGS.get(lbl, "x") == tag]
-        if not wanted:
-            raise InconsistentRankType(f"no census class for rank={args.rank} type={args.type}")
-        items = [(key, table.entries[key]) for key in sorted(wanted)]
-        if args.format == "text" and len(items) == 1:
+        key = (args.rank, wanted[0])
+        items = [(key, table.entries[key])]
+        if args.format == "text":
             _emit(args, str(items[0][1]))
             return 0
     if args.format == "json":
@@ -206,13 +204,13 @@ def _cmd_count(args) -> int:
 
 
 def _infer_tag(q: int, rank: int, type_name: str | None):
+    """The tag --type names, else the only admissible tag of the rank."""
     if type_name is not None:
-        return _TAGS[type_name]
-    if rank == 0:
-        return 1
-    if rank % 2 == 1 and q % 2 == 0:
-        return None
-    raise QfrmError("this (q, rank) needs an explicit --type plus|minus")
+        return next(tag for tag, label in TYPE_LABELS.items() if label == type_name)
+    tags = admissible_tags(q, rank)
+    if len(tags) > 1:
+        raise QfrmError("this (q, rank) needs an explicit --type plus|minus")
+    return tags[0]
 
 
 def _cmd_spectrum(args) -> int:
@@ -227,7 +225,7 @@ def _cmd_spectrum(args) -> int:
             "q": args.q,
             "m": args.m,
             "rank": args.rank,
-            "type": {1: "plus", -1: "minus", None: "untyped"}[tag],
+            "type": TYPE_LABELS[tag],
             "c_class": args.c_class,
             "population": str(spectrum.population),
             "entries": spectrum.to_json_entries(),
@@ -270,6 +268,10 @@ def _cmd_verify(args) -> int:
         for q in qs:
             field_from_order(q)  # validates prime powers up front
         pairs = [(q, m) for q in qs for m in ms]
+        for q, m in pairs:
+            # no check builds or prints a power of q past q^((m+2)(m+3)/2): the
+            # prm2 dimension (m+1)(m+2)/2 plus n <= q^(m+1) in a symbol count
+            _check_output_size(q, (m + 2) * (m + 3) // 2)
     results = run_verification(
         args.scope, pairs, max_points=args.max_points, max_symbols=args.max_codewords
     )

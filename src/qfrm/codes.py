@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .field import FiniteField, field_from_order
-from .forms import all_vectors, triangle_pairs, triangle_size
+from .forms import TYPE_LABELS, admissible_tags, all_vectors, triangle_pairs, triangle_size
 from .spectra import coset_weight_multiset
 
 FAMILIES = ("rm2", "hrm2", "prm2")
@@ -163,8 +163,8 @@ def _rm2_general_entries(q: int, m: int, k: int) -> dict[int, int]:
         if odd_part % 2:
             raise InternalInconsistency("odd-rank row frequency is not even")
         odd_part //= 2
-        for tau, label in ((1, "plus"), (-1, "minus")):
-            v = census[(2 * j, label)]
+        for tau in (1, -1):
+            v = census[(2 * j, TYPE_LABELS[tau])]
             ent[base - tau * q ** (m - j - 1) * (q - 1)] += q ** (2 * j) * v
             ent[base + tau * q ** (m - j - 1)] += (q - 1) * q ** (2 * j) * v + odd_part
     low_row = q * (q - 1) * (q ** m - 1) // 2
@@ -200,9 +200,9 @@ def _hrm2_entries(q: int, m: int) -> dict[int, int]:
     ent: Counter = Counter({0: 1})
     ent[q ** m - q ** (m - 1)] += sum(odd.values())
     for j in range(1, m // 2 + 1):
-        for tau, label in ((1, "plus"), (-1, "minus")):
+        for tau in (1, -1):
             w = q ** m - q ** (m - 1) - tau * q ** (m - j - 1) * (q - 1)
-            ent[w] += census[(2 * j, label)]
+            ent[w] += census[(2 * j, TYPE_LABELS[tau])]
     return dict(ent)
 
 
@@ -225,8 +225,8 @@ def prm2_distribution(q: int, m: int) -> WeightDistribution:
     ent: Counter = Counter({0: 1})
     ent[q ** m] += sum(odd.values())
     for j in range(1, (m + 1) // 2 + 1):
-        for tau, label in ((1, "plus"), (-1, "minus")):
-            ent[q ** m - tau * q ** (m - j)] += census[(2 * j, label)]
+        for tau in (1, -1):
+            ent[q ** m - tau * q ** (m - j)] += census[(2 * j, TYPE_LABELS[tau])]
     entries = dict(ent)
     scaled: Counter = Counter()
     for w, f in hrm2_distribution(q, m + 1).entries.items():
@@ -345,14 +345,9 @@ def coset_assembled_distribution(q: int, m: int) -> WeightDistribution:
     params = code_parameters("rm2", q, m)
     ent: Counter = Counter()
     for (rank, label), cnt in census_formula(q, m).entries.items():
-        if label == "plus":
-            tag = 1
-        elif label == "minus":
-            tag = -1
-        elif label == "untyped":
-            tag = None
-        else:  # merged odd ranks: the multiset does not depend on the type
-            tag = 1
+        # an odd_total count covers both types, whose coset multisets agree
+        tags = admissible_tags(q, rank)
+        tag = next((t for t in tags if TYPE_LABELS[t] == label), tags[0])
         for w, mult in coset_weight_multiset(q, m, rank, tag).entries.items():
             ent[w] += cnt * mult
     return WeightDistribution("rm2", q, m, params, dict(ent))

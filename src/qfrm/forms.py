@@ -219,18 +219,28 @@ class BilinearForm:
         return acc
 
 
+# the text label of each type tag, in census and CLI output
+TYPE_LABELS = {1: "plus", -1: "minus", None: "untyped"}
+
+
+def admissible_tags(q: int, rank: int) -> tuple:
+    """The type tags a form of this rank can carry over GF(q): +1 alone for
+    the zero form, None alone for odd rank over even q, else +1 and -1."""
+    if rank == 0:
+        return (1,)
+    if rank % 2 and q % 2 == 0:
+        return (None,)
+    return (1, -1)
+
+
 @dataclass(frozen=True)
 class RankType:
     rank: int
-    type_tag: int | None  # +1, -1, or None for the untyped even-q odd-rank case
+    type_tag: int | None  # one of admissible_tags(q, rank)
 
     @property
     def label(self) -> str:
-        if self.type_tag == 1:
-            return "plus"
-        if self.type_tag == -1:
-            return "minus"
-        return "untyped"
+        return TYPE_LABELS[self.type_tag]
 
 
 @dataclass(frozen=True)
@@ -259,15 +269,12 @@ def validate_rank_type(q: int, m: int, rank: int, type_tag) -> None:
     """Raise InconsistentRankType unless (rank, type_tag) is admissible on GF(q)^m."""
     if not 0 <= rank <= m:
         raise InconsistentRankType(f"rank {rank} outside [0, {m}]")
-    if rank == 0:
-        if type_tag != 1:
-            raise InconsistentRankType("the zero form has type +1")
-    elif rank % 2 == 1 and q % 2 == 0:
-        if type_tag is not None:
-            raise InconsistentRankType("odd rank carries no type for even q")
-    else:
-        if type_tag not in (1, -1):
-            raise InconsistentRankType(f"type must be +1 or -1, got {type_tag!r}")
+    tags = admissible_tags(q, rank)
+    if type_tag not in tags:
+        allowed = " or ".join(repr(t) for t in tags)
+        raise InconsistentRankType(
+            f"rank {rank} over GF({q}) takes type {allowed}, got {type_tag!r}"
+        )
 
 
 # -- structure maps -------------------------------------------------------------

@@ -2,7 +2,8 @@
 function, split by the class of the constant term, plus the weight
 multiset of the matching first-order-code coset.
 
-The closed forms depend only on (q, m, rank, type, class); the
+The closed forms depend only on (q, m, rank, type, class), all behind
+``spectrum_formula``, for the classes that ``constant_classes`` names; the
 brute-force oracle ``spectrum_oracle`` enumerates every linear functional
 and every constant in the class and counts zeros directly. A class
 multiset covers the whole class: the single constant 0 for ``zero``, the
@@ -19,11 +20,9 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    EvenCharacteristic,
     InconsistentQuery,
     InexactDivision,
     InternalInconsistency,
-    OddCharacteristic,
     UnsupportedForBinary,
 )
 from .field import GRID_TABLE_MAX, field_from_order
@@ -41,7 +40,15 @@ CLASS_ZERO = "zero"
 CLASS_SQUARE = "square"
 CLASS_NONSQUARE = "nonsquare"
 CLASS_NONZERO = "nonzero"
-FORMULA_CLASSES = (CLASS_ZERO, CLASS_SQUARE, CLASS_NONSQUARE, CLASS_NONZERO)
+
+
+def constant_classes(q: int, rank: int) -> tuple[str, ...]:
+    """The constant classes a coset query of this rank splits into: odd rank
+    over odd q tells square constants from nonsquare ones, every other
+    rank only zero from nonzero."""
+    if q % 2 and rank % 2:
+        return (CLASS_ZERO, CLASS_SQUARE, CLASS_NONSQUARE)
+    return (CLASS_ZERO, CLASS_NONZERO)
 
 
 def _exact_half(n: int) -> int:
@@ -98,16 +105,11 @@ class CosetQuery:
 
     def __post_init__(self):
         validate_rank_type(self.q, self.m, self.rank, self.type_tag)
-        if self.c_class not in FORMULA_CLASSES:
-            raise InconsistentQuery(f"unknown constant class {self.c_class!r}")
-        odd_rank_odd_q = self.q % 2 == 1 and self.rank % 2 == 1
-        if self.c_class in (CLASS_SQUARE, CLASS_NONSQUARE) and not odd_rank_odd_q:
+        classes = constant_classes(self.q, self.rank)
+        if self.c_class not in classes:
             raise InconsistentQuery(
-                "square/nonsquare classes apply only to odd rank over odd q"
-            )
-        if self.c_class == CLASS_NONZERO and odd_rank_odd_q:
-            raise InconsistentQuery(
-                "odd rank over odd q splits nonzero constants into squares and nonsquares"
+                f"rank {self.rank} over GF({self.q}) splits constants into "
+                f"{', '.join(classes)}, not {self.c_class!r}"
             )
 
     def class_size(self) -> int:
@@ -126,23 +128,21 @@ def _rows_rank0(q, m, c_is_zero):
     return [(0, 1), (q ** (m - 1), q ** m - 1)]
 
 
-def _rows_even_q(q, m, r, tau, c_is_zero):
+def _rows_even_q_odd_rank(q, m, r, c_is_zero):
     base = q ** (m - 1)
-    if r % 2:
-        step = q ** (m - (r + 1) // 2)
-        s = q ** ((r - 1) // 2)
-        if c_is_zero:
-            return [
-                (base, q ** m - q ** r + q ** (r - 1)),
-                (base + step, _exact_half((q - 1) * (q ** (r - 1) + s))),
-                (base - step, _exact_half((q - 1) * (q ** (r - 1) - s))),
-            ]
+    step = q ** (m - (r + 1) // 2)
+    s = q ** ((r - 1) // 2)
+    if c_is_zero:
         return [
             (base, q ** m - q ** r + q ** (r - 1)),
-            (base + step, _exact_half(q ** r - q ** (r - 1) - s)),
-            (base - step, _exact_half(q ** r - q ** (r - 1) + s)),
+            (base + step, _exact_half((q - 1) * (q ** (r - 1) + s))),
+            (base - step, _exact_half((q - 1) * (q ** (r - 1) - s))),
         ]
-    return _rows_even_rank(q, m, r, tau, c_is_zero)
+    return [
+        (base, q ** m - q ** r + q ** (r - 1)),
+        (base + step, _exact_half(q ** r - q ** (r - 1) - s)),
+        (base - step, _exact_half(q ** r - q ** (r - 1) + s)),
+    ]
 
 
 def _rows_even_rank(q, m, r, tau, c_is_zero):
@@ -199,40 +199,20 @@ def _scaled(rows, scale, population):
     return SpectrumMultiset(dict(out), population)
 
 
-def spectrum_even_q(query: CosetQuery) -> SpectrumMultiset:
-    """Zero-count multiset over {Q + L + c : L linear, c in the class}, even q."""
-    if query.q % 2:
-        raise OddCharacteristic("this spectrum applies to even q")
-    q, m, r = query.q, query.m, query.rank
+def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
+    """Zero-count multiset over {Q + L + c : L linear, c in the class}."""
+    q, m, r, tau = query.q, query.m, query.rank, query.type_tag
     c_is_zero = query.c_class == CLASS_ZERO
     if r == 0:
         rows = _rows_rank0(q, m, c_is_zero)
+    elif r % 2 == 0:
+        rows = _rows_even_rank(q, m, r, tau, c_is_zero)
+    elif q % 2 == 0:
+        rows = _rows_even_q_odd_rank(q, m, r, c_is_zero)
     else:
-        rows = _rows_even_q(q, m, r, query.type_tag, c_is_zero)
+        rows = _rows_odd_q_odd_rank(q, m, r, tau, query.c_class)
     size = query.class_size()
     return _scaled(rows, size, size * q ** m)
-
-
-def spectrum_odd_q(query: CosetQuery) -> SpectrumMultiset:
-    """Zero-count multiset over {Q + L + c : L linear, c in the class}, odd q."""
-    if query.q % 2 == 0:
-        raise EvenCharacteristic("this spectrum applies to odd q")
-    q, m, r = query.q, query.m, query.rank
-    if r == 0:
-        rows = _rows_rank0(q, m, query.c_class == CLASS_ZERO)
-    elif r % 2:
-        rows = _rows_odd_q_odd_rank(q, m, r, query.type_tag, query.c_class)
-    else:
-        rows = _rows_even_rank(q, m, r, query.type_tag, query.c_class == CLASS_ZERO)
-    size = query.class_size()
-    return _scaled(rows, size, size * q ** m)
-
-
-def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
-    """Dispatch to the even-q or odd-q closed form."""
-    if query.q % 2 == 0:
-        return spectrum_even_q(query)
-    return spectrum_odd_q(query)
 
 
 def spectrum_merged(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:

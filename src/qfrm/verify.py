@@ -22,10 +22,11 @@ from .codes import (
 )
 from .errors import BudgetExceeded, UnsupportedParameters
 from .field import field_from_order
-from .forms import DEFAULT_POINT_BUDGET, canonical_form
+from .forms import DEFAULT_POINT_BUDGET, admissible_tags, canonical_form
 from .spectra import (
     CosetQuery,
     SpectrumMultiset,
+    constant_classes,
     merged_oracle,
     spectrum_formula,
     spectrum_merged,
@@ -56,20 +57,6 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def valid_tags(q: int, rank: int):
-    if rank == 0:
-        return (1,)
-    if rank % 2 == 1 and q % 2 == 0:
-        return (None,)
-    return (1, -1)
-
-
-def valid_classes(q: int, rank: int):
-    if q % 2 == 1 and rank % 2 == 1:
-        return ("zero", "square", "nonsquare")
-    return ("zero", "nonzero")
-
-
 def check_census(q, m, max_forms=1 << 26):
     name = f"census q={q} m={m}"
     try:
@@ -88,10 +75,11 @@ def check_spectra(q, m, max_evals=1 << 24):
     results = []
     fld = field_from_order(q)
     for rank in range(0, m + 1):
-        for tag in valid_tags(q, rank):
+        classes = constant_classes(q, rank)
+        for tag in admissible_tags(q, rank):
             form = canonical_form(fld, m, rank, tag)
             parts = []
-            for c_class in valid_classes(q, rank):
+            for c_class in classes:
                 name = f"spectra q={q} m={m} r={rank} t={tag} class={c_class}"
                 try:
                     oracle = spectrum_oracle(form, c_class, max_evals=max_evals)
@@ -111,7 +99,7 @@ def check_spectra(q, m, max_evals=1 << 24):
                 continue
             merged = spectrum_merged(q, m, rank, tag)
             ok = merged.entries == oracle_m.entries
-            if parts and len(parts) == len(valid_classes(q, rank)):
+            if parts and len(parts) == len(classes):
                 ok = ok and SpectrumMultiset.merge(parts).entries == merged.entries
             results.append(CheckResult(name, ok))
     return results

@@ -1,11 +1,13 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import sys
 import time
 
 import pytest
 
+from qfrm import cli
 from qfrm.cli import MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import rm2_distribution
 
@@ -164,6 +166,37 @@ def test_spectrum_inconsistent_class(capsys):
         "--c-class", "nonzero",
     )
     assert code == 2
+
+
+# sha256 of every (argv, exit code, stdout) in _rank_type_sweep, recorded
+# before the form-class rule moved into forms and spectra; a refactor of that
+# rule must leave every byte of these outputs as it was
+RANK_TYPE_SWEEP_SHA256 = "807df6da7e4fcc9a7df8b313e00192130cf8bc0b2cd34444ff7729b90ba495cf"
+
+
+def _rank_type_sweep():
+    for q in (2, 3, 4, 9):
+        for m in range(4):
+            for rank in range(-1, m + 2):
+                head = ["--q", str(q), "--m", str(m), "--rank", str(rank)]
+                for fmt in ("text", "json"):
+                    for typ in (None, "plus", "minus"):
+                        yield ["count", *head, "--format", fmt] + (["--type", typ] if typ else [])
+                    for c_class in ("zero", "square", "nonsquare", "nonzero", "merged"):
+                        for typ in (None, "plus", "minus", "untyped"):
+                            argv = ["spectrum", *head, "--c-class", c_class, "--format", fmt]
+                            yield argv + (["--type", typ] if typ else [])
+
+
+def test_rank_type_sweep_is_byte_identical(capsys, monkeypatch):
+    # one parser serves every call; building it is most of an in-process call
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    digest = hashlib.sha256()
+    for argv in _rank_type_sweep():
+        code = main(argv)
+        digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == RANK_TYPE_SWEEP_SHA256
 
 
 def test_verify_census(capsys):

@@ -23,7 +23,7 @@ from qfrm.codes import (
 )
 from qfrm.errors import BudgetExceeded, UnsupportedParameters
 from qfrm.field import field_new
-from qfrm.forms import zero_count_formula
+from qfrm.forms import TYPE_LABELS, admissible_tags, zero_count_formula
 from qfrm.verify import run_verification
 
 GOLD_RM_2_7 = (
@@ -164,9 +164,9 @@ def test_hrm_frequencies_are_census_weighted_zero_counts(q, m):
     wd = hrm2_distribution(q, m)
     rebuilt: dict[int, int] = {}
     for (rank, label), count in census_formula(q, m).entries.items():
-        tag = {"plus": 1, "minus": -1}.get(label)
-        if label in ("untyped", "odd_total"):
-            tag = None if q % 2 == 0 else 1  # odd-rank zero count ignores the type
+        # odd_total counts both types of an odd rank, whose zero count ignores the type
+        tags = admissible_tags(q, rank)
+        tag = next((t for t in tags if TYPE_LABELS[t] == label), tags[0])
         w = q ** m - zero_count_formula(rank, tag, q, m)
         rebuilt[w] = rebuilt.get(w, 0) + count
     rebuilt = {w: f for w, f in rebuilt.items() if f}

@@ -21,6 +21,7 @@ from qfrm.forms import (
     QuadraticForm,
     RankType,
     Substitution,
+    admissible_tags,
     all_vectors,
     bilinear_of,
     canonical_form,
@@ -49,14 +50,6 @@ SMALL_FIELDS = {
 
 def form(field, m, entries):
     return QuadraticForm.from_entries(field, m, entries)
-
-
-def valid_tags(q, rank):
-    if rank == 0:
-        return (1,)
-    if rank % 2 == 1 and q % 2 == 0:
-        return (None,)
-    return (1, -1)
 
 
 def random_form(rng, field, m):
@@ -125,7 +118,7 @@ def test_bilinear_identity_and_scaling_exhaustive(q, m):
     fld = SMALL_FIELDS[q]
     rng = random.Random(q * 100 + m)
     forms = [random_form(rng, fld, m) for _ in range(5)]
-    forms += [canonical_form(fld, m, r, valid_tags(q, r)[0]) for r in range(m + 1)]
+    forms += [canonical_form(fld, m, r, admissible_tags(q, r)[0]) for r in range(m + 1)]
     points = list(all_vectors(fld, m))
     for Q in forms:
         B = bilinear_of(Q)
@@ -287,7 +280,7 @@ def test_canonical_diagonal_types_consistent(q):
     # diagonal reading of each canonical form reproduces its declared type
     fld = SMALL_FIELDS[q]
     for r in range(1, 7):
-        for tag in valid_tags(q, r):
+        for tag in admissible_tags(q, r):
             Q = canonical_form(fld, r, r, tag)
             diag, _ = diagonalize(Q)
             assert type_from_diagonal(fld, diag) == tag
@@ -327,7 +320,7 @@ def test_classify_canonical_roundtrip(q):
     fld = SMALL_FIELDS[q]
     for m in range(0, 7):
         for r in range(0, m + 1):
-            for tag in valid_tags(q, r):
+            for tag in admissible_tags(q, r):
                 assert classify(canonical_form(fld, m, r, tag)) == RankType(r, tag)
 
 
@@ -339,7 +332,7 @@ def test_classify_past_enumeration_frontier(q):
     m = 30
     A = random_substitution(random.Random(q), fld, m)
     for r in range(0, m + 1):
-        for tag in valid_tags(q, r):
+        for tag in admissible_tags(q, r):
             assert classify(substitute(canonical_form(fld, m, r, tag), A)) == RankType(r, tag)
 
 

@@ -4,45 +4,45 @@ import random
 
 import pytest
 
-from qfrm.errors import (
-    EvenCharacteristic,
-    InconsistentQuery,
-    OddCharacteristic,
-    UnsupportedForBinary,
-)
+from qfrm.errors import InconsistentQuery, UnsupportedForBinary
 from qfrm.field import field_new
-from qfrm.forms import QuadraticForm, Substitution, canonical_form, substitute, triangle_size
+from qfrm.forms import (
+    QuadraticForm,
+    Substitution,
+    admissible_tags,
+    canonical_form,
+    substitute,
+    triangle_size,
+)
 from qfrm.spectra import (
     CosetQuery,
     SpectrumMultiset,
+    constant_classes,
     coset_weight_multiset,
     merged_oracle,
-    spectrum_even_q,
     spectrum_formula,
     spectrum_merged,
-    spectrum_odd_q,
     spectrum_oracle,
 )
-from qfrm.verify import valid_classes, valid_tags
 
 FIELDS = {2: field_new(2), 3: field_new(3), 4: field_new(2, 2), 5: field_new(5)}
 
 
 def test_even_q_examples():
-    got = spectrum_even_q(CosetQuery(2, 3, 3, None, "zero"))
+    got = spectrum_formula(CosetQuery(2, 3, 3, None, "zero"))
     assert got.entries == {2: 1, 4: 4, 6: 3}
-    got = spectrum_even_q(CosetQuery(2, 2, 2, 1, "zero"))
+    got = spectrum_formula(CosetQuery(2, 2, 2, 1, "zero"))
     assert got.entries == {3: 3, 1: 1}
-    got = spectrum_even_q(CosetQuery(2, 3, 0, 1, "zero"))
+    got = spectrum_formula(CosetQuery(2, 3, 0, 1, "zero"))
     assert got.entries == {8: 1, 4: 7}
 
 
 def test_odd_q_examples():
-    got = spectrum_odd_q(CosetQuery(3, 2, 1, 1, "zero"))
+    got = spectrum_formula(CosetQuery(3, 2, 1, 1, "zero"))
     assert got.entries == {3: 7, 6: 2}
     # single square constant: the type correction lands on the whole count,
     # outside the (q-1)/2 factor; the brute-force oracle fixes this reading
-    got = spectrum_odd_q(CosetQuery(3, 2, 1, 1, "square"))
+    got = spectrum_formula(CosetQuery(3, 2, 1, 1, "square"))
     assert got.entries == {3: 8, 0: 1}
     oracle = spectrum_oracle(canonical_form(FIELDS[3], 2, 1, 1), "square")
     assert oracle.entries == {3: 8, 0: 1}
@@ -62,13 +62,6 @@ def test_coset_weights_examples():
     assert got.entries == {0: 1, 9: 2, 6: 24}
     with pytest.raises(UnsupportedForBinary):
         coset_weight_multiset(2, 3, 1, None)
-
-
-def test_parity_dispatch_errors():
-    with pytest.raises(OddCharacteristic):
-        spectrum_even_q(CosetQuery(3, 2, 1, 1, "zero"))
-    with pytest.raises(EvenCharacteristic):
-        spectrum_odd_q(CosetQuery(2, 2, 2, 1, "zero"))
 
 
 def test_query_validation():
@@ -108,10 +101,10 @@ def test_m0_spectra_are_exact(q):
 def test_formula_equals_oracle(q, m):
     fld = FIELDS[q]
     for rank in range(0, m + 1):
-        for tag in valid_tags(q, rank):
+        for tag in admissible_tags(q, rank):
             Q = canonical_form(fld, m, rank, tag)
             parts = []
-            for c_class in valid_classes(q, rank):
+            for c_class in constant_classes(q, rank):
                 formula = spectrum_formula(CosetQuery(q, m, rank, tag, c_class))
                 oracle = spectrum_oracle(Q, c_class)
                 assert formula.entries == oracle.entries, (q, m, rank, tag, c_class)
@@ -157,7 +150,7 @@ def test_mean_identity_merged():
     # q^m of the affine completions, so the grand total is q^(2m)
     for q, m in [(2, 2), (3, 2), (4, 2), (5, 1), (3, 3)]:
         for rank in range(0, m + 1):
-            for tag in valid_tags(q, rank):
+            for tag in admissible_tags(q, rank):
                 merged = spectrum_merged(q, m, rank, tag)
                 grand = sum(v * k for v, k in merged.entries.items())
                 assert grand == q ** (2 * m)
