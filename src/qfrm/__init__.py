@@ -12,7 +12,6 @@ from .census import (
 from .codes import (
     CodeParameters,
     WeightDistribution,
-    affine_points,
     brute_force_distribution,
     code_parameters,
     coset_assembled_distribution,
@@ -20,7 +19,6 @@ from .codes import (
     format_enumerator,
     hrm2_distribution,
     prm2_distribution,
-    projective_points,
     rm2_distribution,
     weight_enumerator_text,
 )

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .field import field_from_order
 from .forms import (
-    DEFAULT_POINT_BUDGET,
     TYPE_LABELS,
     QuadraticForm,
     admissible_tags,
@@ -54,7 +53,7 @@ from .forms import (
     triangle_pairs,
     zero_count_formula,
 )
-from .spectra import CosetQuery, spectrum_formula, spectrum_merged
+from .spectra import DEFAULT_ORACLE_BUDGET, CosetQuery, spectrum_formula, spectrum_merged
 from .verify import run_verification
 
 _COEFF_RE = re.compile(r"c\[(\d+)\]\[(\d+)\]=(\d+)")
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=("census", "spectra", "codes", "all"), required=True)
     p.add_argument("--q", help="value, comma list, or a-b range (with --m)")
     p.add_argument("--m", help="value, comma list, or a-b range (with --q)")
-    p.add_argument("--max-points", type=int, default=DEFAULT_POINT_BUDGET)
+    p.add_argument("--max-points", type=int, default=DEFAULT_ORACLE_BUDGET)
     p.add_argument("--max-codewords", type=int, default=DEFAULT_SYMBOL_BUDGET)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_verify)

@@ -5,7 +5,9 @@ and the projective variant (prm2).
 Closed-form distributions are assembled from the form census; every
 family also has a brute-force codeword enumerator, and rm2 over q > 2 has
 a third path that pastes coset weight multisets together, so each table
-can be cross-checked two ways. Frequencies are exact big integers.
+can be cross-checked two ways. Frequencies are exact big integers. The
+enumerator lists only the quadratic parts of the codewords and reads
+every weight from their affine-shift counts (``forms.affine_shift_counts``).
 
 The rm2 balanced-weight row is computed from its explicit expression and
 revalidated as q^k minus all other rows; any mismatch raises instead of
@@ -16,6 +18,7 @@ reproduce after division by q - 1.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,16 +33,23 @@ from .errors import (
     NonDivisibleWeight,
     UnsupportedParameters,
 )
-from .field import FiniteField, field_from_order
-from .forms import TYPE_LABELS, admissible_tags, all_vectors, triangle_pairs, triangle_size
+from .field import field_from_order
+from .forms import (
+    TYPE_LABELS,
+    _monomial_planes,
+    admissible_tags,
+    affine_shift_counts,
+    triangle_pairs,
+)
 from .spectra import coset_weight_multiset
 
 FAMILIES = ("rm2", "hrm2", "prm2")
 
 DEFAULT_SYMBOL_BUDGET = 1 << 34
 
-# codeword weights held per block of the split enumeration; bounds its working memory
-_BLOCK_WORDS = 1 << 18
+# entries of the largest array one block of the codeword oracle builds (the
+# affine-shift gather, or the zero-count compare for hrm2); bounds its memory
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -248,51 +258,25 @@ def distribution(family: str, q: int, m: int) -> WeightDistribution:
     raise UnsupportedParameters(f"unknown family {family!r}")
 
 
-# -- evaluation domains --------------------------------------------------------------
-
-def affine_points(field: FiniteField, m: int) -> tuple:
-    """The q^m points in index order; the first is the zero vector."""
-    return tuple(all_vectors(field, m))
-
-
-def projective_points(field: FiniteField, n_vars: int) -> tuple:
-    """Projective representatives: first nonzero coordinate 1, index order."""
-    reps = [x for x in all_vectors(field, n_vars) if next((c for c in x if c), None) == 1]
-    return tuple(reps)
-
-
 # -- brute-force codeword enumeration --------------------------------------------------
 
-def _monomial_matrix(field, family, q, m):
-    """Rows: evaluation vector of each coefficient's basis function."""
-    if family == "prm2":
-        n_vars = m + 1
-        points = projective_points(field, n_vars)
-    else:
-        n_vars = m
-        points = affine_points(field, m)
-    mul = field.mul
-    rows = []
-    for i, j in triangle_pairs(n_vars):
-        rows.append([mul(x[i], x[j]) for x in points])
-    if family == "rm2":
-        if q > 2:
-            for i in range(n_vars):
-                rows.append([x[i] for x in points])
-        rows.append([1] * len(points))
-    return np.array(rows, dtype=field.dtype), len(points)
-
-
-def _span(rows, field, n):
-    """Every linear combination of ``rows`` over the field, one per column
-    of an (n, q^r) array."""
+def _form_blocks(field, planes, rows):
+    """Every linear combination of ``planes`` over the field, in blocks of
+    at most ``rows`` combinations (at least one). A block is a pair
+    (low, high) whose values are low + high, point by point: ``low`` has
+    one column per combination of the last planes and is built once,
+    ``high`` is one column that walks the span of the rest."""
     add, mul = field.add_array, field.mul_array
-    span = np.zeros((n, 1), dtype=field.dtype)
-    for row in rows:
-        span = np.concatenate(
-            [add[span, mul[c][row][:, None]] for c in field.elements()], axis=1
-        )
-    return span
+    low = np.zeros((len(planes[0]), 1), dtype=field.dtype)
+    split = len(planes)
+    while split and low.shape[1] * field.q <= rows:
+        split -= 1
+        low = add[low[:, None, :], mul[:, planes[split]].T[:, :, None]].reshape(len(low), -1)
+    for coeffs in itertools.product(field.elements(), repeat=split):
+        high = low[:, :1]
+        for c, plane in zip(coeffs, planes):
+            high = add[high, mul[c][plane][:, None]]
+        yield low, high
 
 
 def brute_force_distribution(
@@ -300,39 +284,45 @@ def brute_force_distribution(
 ) -> WeightDistribution:
     """Enumerate every codeword and tally Hamming weights.
 
-    Codewords are enumerated through their coefficient tuples: quadratic
-    monomials only for hrm2/prm2; plus linear and constant terms for rm2
-    over q > 2; plus the constant only for binary rm2, where linear
-    functions already are quadratic forms.
+    Only the quadratic parts Q are enumerated, as combinations of the
+    monomials x_i x_j on m variables (i < j for binary rm2, whose squares
+    are linear; i <= j otherwise), in blocks of forms. Every weight is
+    then read from the exact affine-shift counts
+    H[L, s] = #{x : Q(x) + L.x = s} of ``affine_shift_counts``:
 
-    The enumeration is split: every codeword is low + high, with low in
-    the span of the last ceil(k/2) basis rows and high in the span of the
-    first floor(k/2). A coordinate of low + high is nonzero exactly where
-    low differs from -high, so for each block of negated high words the
-    weights against the whole low span are counted one coordinate at a
-    time, one compare per symbol, and tallied.
+    - rm2, codeword Q + L + c: weight q^m - H[L, -c];
+    - hrm2, codeword Q: weight q^m - H[0, 0], the zero count of Q;
+    - prm2, codeword Q + x_m L + c x_m^2 on P^m: the chart x_m = 1 gives
+      q^m - H[L, -c] and the hyperplane x_m = 0 gives
+      (q^m - H[0, 0]) / (q - 1), a division checked for exactness.
+
+    The symbol budget still counts all q^k codewords times n coordinates.
     """
     params = code_parameters(family, q, m)
     n_symbols = q ** params.k * params.n
     if n_symbols > max_symbols:
         raise BudgetExceeded(f"{n_symbols} symbol evaluations exceed {max_symbols}")
     field = field_from_order(q)
-    monomials, n = _monomial_matrix(field, family, q, m)
-    n_coeffs = len(monomials)
-    if n_coeffs != params.k or n != params.n:
-        raise InternalInconsistency("monomial matrix differs from the code parameters")
-    split = n_coeffs // 2
-    low = _span(monomials[split:], field, n)
+    planes = _monomial_planes(field, m)
+    if family == "rm2" and q == 2:
+        planes = [p for p, (i, j) in zip(planes, triangle_pairs(m)) if i != j]
+    n = q ** m
     neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
-    neg_high = neg[_span(monomials[:split], field, n)]
-    block = max(1, _BLOCK_WORDS // low.shape[1])
-    tally = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, neg_high.shape[1], block):
-        part = neg_high[:, lo:lo + block]
-        weights = np.zeros((part.shape[1], low.shape[1]), dtype=np.min_scalar_type(n))
-        for x in range(n):
-            weights += low[x] != part[x][:, None]
-        tally += np.bincount(weights.ravel(), minlength=n + 1)
+    rows = max(1, _BLOCK // (n if family == "hrm2" else q * q * n))
+    tally = np.zeros(params.n + 1, dtype=np.int64)
+    for low, high in _form_blocks(field, planes, rows):
+        if family == "hrm2":
+            # H[0, 0] is the zero count: the points where low = -high
+            weights = n - (low == neg[high]).sum(axis=0, dtype=np.min_scalar_type(n))
+        else:
+            counts = affine_shift_counts(field, m, field.add_array[low, high].T)
+            weights = np.subtract(n, counts, dtype=np.int64)
+        if family == "prm2":
+            hyperplane, remainder = np.divmod(weights[:, :1, :1], q - 1)
+            if remainder.any():
+                raise NonDivisibleWeight(f"hyperplane weight not divisible by {q - 1}")
+            weights += hyperplane
+        tally += np.bincount(weights.ravel(order="K"), minlength=params.n + 1)
     entries = {w: int(f) for w, f in enumerate(tally) if f}
     return WeightDistribution(family, q, m, params, entries)
 

@@ -16,7 +16,6 @@ significant, so point 0 is the zero vector.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     SingularSubstitution,
     ZeroCoefficient,
 )
-from .field import GRID_TABLE_MAX, FiniteField
+from .field import FiniteField
 
 DEFAULT_POINT_BUDGET = 1 << 24
 
@@ -42,11 +41,6 @@ def triangle_size(m: int) -> int:
 def triangle_pairs(m: int) -> list[tuple[int, int]]:
     """(i, j) index pairs with i <= j in row-major order."""
     return [(i, j) for i in range(m) for j in range(i, m)]
-
-
-def all_vectors(field: FiniteField, m: int):
-    """All points of GF(q)^m in index order (leftmost digit most significant)."""
-    return itertools.product(range(field.q), repeat=m)
 
 
 # -- linear algebra over a finite field ---------------------------------------
@@ -354,28 +348,26 @@ def _monomial_planes(field: FiniteField, m: int):
     return tuple(mul[planes[i], planes[j]] for i, j in triangle_pairs(m))
 
 
-def values_on_domain(form: QuadraticForm):
+def values_on_domain(form: QuadraticForm) -> np.ndarray:
     """Q evaluated at every point of GF(q)^m in index order.
 
-    Returns a numpy array when the field has operation tables, else a list.
+    Built from the field's q x q operation tables, so q is limited to
+    ``GRID_TABLE_MAX``; larger fields raise FieldTooLarge.
     """
     fld = form.field
-    if fld.q <= GRID_TABLE_MAX:
-        n = fld.q ** form.m
-        add, mul = fld.add_array, fld.mul_array
-        mono = _monomial_planes(fld, form.m)
-        odd = fld.p != 2
-        acc = np.zeros(n, dtype=fld.dtype)
-        for k, (i, j) in enumerate(triangle_pairs(form.m)):
-            c = form.coeffs[k]
-            if not c:
-                continue
-            term = mul[c][mono[k]]
-            if odd and i != j:
-                term = add[term, term]
-            acc = add[acc, term]
-        return acc
-    return [form.evaluate(x) for x in all_vectors(fld, form.m)]
+    add, mul = fld.add_array, fld.mul_array
+    mono = _monomial_planes(fld, form.m)
+    odd = fld.p != 2
+    acc = np.zeros(fld.q ** form.m, dtype=fld.dtype)
+    for k, (i, j) in enumerate(triangle_pairs(form.m)):
+        c = form.coeffs[k]
+        if not c:
+            continue
+        term = mul[c][mono[k]]
+        if odd and i != j:
+            term = add[term, term]
+        acc = add[acc, term]
+    return acc
 
 
 def zero_count_exhaustive(form: QuadraticForm, max_points: int = DEFAULT_POINT_BUDGET) -> int:
@@ -383,10 +375,45 @@ def zero_count_exhaustive(form: QuadraticForm, max_points: int = DEFAULT_POINT_B
     n = form.field.q ** form.m
     if n > max_points:
         raise BudgetExceeded(f"domain has {n} points, budget is {max_points}")
-    vals = values_on_domain(form)
-    if isinstance(vals, np.ndarray):
-        return int(np.count_nonzero(vals == 0))
-    return sum(1 for v in vals if v == 0)
+    return int(np.count_nonzero(values_on_domain(form) == 0))
+
+
+# -- affine-shift counts ------------------------------------------------------------
+
+def affine_shift_counts(field: FiniteField, m: int, values: np.ndarray) -> np.ndarray:
+    """H[f, L, s] = #{x in GF(q)^m : values[f, x] + L.x = s}, exactly.
+
+    ``values`` has shape (F, q^m): F forms on the points in index order.
+    H has shape (F, q^m, q), L indexed like the points, in the smallest
+    dtype that holds q^m. The zero count of Q_f + L + c is H[f, L, -c].
+
+    Coordinates are transformed one at a time, as in the fast Hadamard
+    transform (MacWilliams and Sloane, ch. 2): x_0 by one bincount of the
+    values, each later x_i by one gather through the (q, q, q) table
+    s - l*a, C[s, .., a, ..] -> sum_a C[s - l*a, .., a, ..]. A form costs
+    O(m q^(m+2)), and the largest array holds F q^(m+2) counts (F q^2
+    keys when m = 1).
+    """
+    q = field.q
+    forms, n = values.shape
+    dtype = np.min_scalar_type(n)
+    if m == 0:
+        return (values[:, :, None] == np.arange(q)).astype(dtype)
+    add, mul = field.add_array, field.mul_array
+    rest = n // q * forms
+    # keys[l, a, r] = ((V[a, r] + l*a) * q + l) * rest + r, for x_0 = a
+    keys = add[values.T.reshape(1, q, rest), mul[:, :, None]].astype(np.int64)
+    keys *= q * rest
+    keys += np.arange(0, q * rest, rest)[:, None, None] + np.arange(rest)
+    counts = np.bincount(keys.ravel(), minlength=q * q * rest).astype(dtype)
+    neg = np.array([field.neg(c) for c in range(q)])
+    for i in range(1, m):
+        # index[l, a, s] = s - l*a, built only here: when m = 1, q may be 1024
+        index = add[np.arange(q), neg[mul][:, :, None]]
+        before = counts.reshape(q, q ** i, q, -1)  # (s, l_0..l_(i-1), x_i, rest)
+        after = before[index, :, np.arange(q)[:, None]].sum(axis=1, dtype=dtype)
+        counts = after.transpose(1, 2, 0, 3)  # (s, l_0..l_i, rest)
+    return counts.reshape(q, n, forms).transpose(2, 1, 0)
 
 
 # -- diagonalisation and type (odd q) ---------------------------------------------

@@ -3,12 +3,13 @@ function, split by the class of the constant term, plus the weight
 multiset of the matching first-order-code coset.
 
 The closed forms depend only on (q, m, rank, type, class), all behind
-``spectrum_formula``, for the classes that ``constant_classes`` names; the
-brute-force oracle ``spectrum_oracle`` enumerates every linear functional
-and every constant in the class and counts zeros directly. A class
-multiset covers the whole class: the single constant 0 for ``zero``, the
-(q-1)/2 square or nonsquare constants, or all q-1 nonzero constants for
-``nonzero``, so oracle and formula agree entrywise.
+``spectrum_formula``, for the classes that ``constant_classes`` names. The
+brute-force oracle ``spectrum_oracle`` counts instead: one call of
+``forms.affine_shift_counts`` gives the zero count of Q + L + c for every
+linear functional L and constant c at once, exactly, for q <= 1024. A
+class multiset covers the whole class: the single constant 0 for
+``zero``, the (q-1)/2 square or nonsquare constants, or all q-1 nonzero
+constants for ``nonzero``, so oracle and formula agree entrywise.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ from .errors import (
     InternalInconsistency,
     UnsupportedForBinary,
 )
-from .field import GRID_TABLE_MAX, field_from_order
-from .forms import (
-    QuadraticForm,
-    _coordinate_planes,
-    all_vectors,
-    validate_rank_type,
-    values_on_domain,
-)
+# field_from_order stays importable here: perfbench/tracing.py wraps it under
+# this module's name
+from .field import field_from_order  # noqa: F401
+from .forms import QuadraticForm, affine_shift_counts, validate_rank_type, values_on_domain
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
 
@@ -256,20 +253,28 @@ def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultis
 
 # -- brute-force oracle ------------------------------------------------------------
 
-def _class_constants(field, c_class):
+def oracle_constants(field, m: int, c_class: str, max_evals: int):
+    """The constants of the class, once the oracle's budget is known to
+    hold: it is charged q^(2m) evaluations per constant, whatever the
+    enumeration costs, so callers can test a case before building its form."""
     q = field.q
     if c_class == CLASS_ZERO:
-        return [0]
-    if c_class == CLASS_NONZERO:
-        return list(range(1, q))
-    if c_class == "all":
-        return list(range(q))
-    if c_class in (CLASS_SQUARE, CLASS_NONSQUARE):
+        cs = [0]
+    elif c_class == CLASS_NONZERO:
+        cs = list(range(1, q))
+    elif c_class == "all":
+        cs = list(range(q))
+    elif c_class in (CLASS_SQUARE, CLASS_NONSQUARE):
         if q % 2 == 0:
             raise InconsistentQuery("square classes need odd q")
         want = 1 if c_class == CLASS_SQUARE else -1
-        return [c for c in range(1, q) if field.quadratic_character(c) == want]
-    raise InconsistentQuery(f"unknown constant class {c_class!r}")
+        cs = [c for c in range(1, q) if field.quadratic_character(c) == want]
+    else:
+        raise InconsistentQuery(f"unknown constant class {c_class!r}")
+    n = q ** m
+    if n * n * max(len(cs), 1) > max_evals:
+        raise BudgetExceeded(f"{n * n * len(cs)} evaluations exceed {max_evals}")
+    return cs
 
 
 def spectrum_oracle(
@@ -278,43 +283,16 @@ def spectrum_oracle(
     """Tally N(Q + L + c) over every linear functional L and every c in the class.
 
     Accepts the formula classes plus ``"all"`` for the merged tally over
-    every constant. Pure enumeration; no closed forms involved.
+    every constant. N(Q + L + c) is H[L, -c] of ``affine_shift_counts``,
+    an exact count over the points; no closed forms involved.
     """
     fld = form.field
-    q, m = fld.q, form.m
-    cs = _class_constants(fld, c_class)
-    n = q ** m
-    if n * n * max(len(cs), 1) > max_evals:
-        raise BudgetExceeded(f"{n * n * len(cs)} evaluations exceed {max_evals}")
-    tally: Counter = Counter()
-    if q <= GRID_TABLE_MAX:
-        add, mul = fld.add_array, fld.mul_array
-        planes = _coordinate_planes(fld, m)
-        qv = np.asarray(values_on_domain(form))
-        shifted = np.broadcast_to(qv, (n, n)).copy()  # rows: L index, cols: point index
-        for i in range(m):
-            shifted = add[shifted, mul[planes[i][:, None], planes[i][None, :]]]
-        for c in cs:
-            target = fld.neg(c)
-            counts = np.count_nonzero(shifted == target, axis=1)
-            values, reps = np.unique(counts, return_counts=True)
-            for v, k in zip(values, reps):
-                tally[int(v)] += int(k)
-    else:
-        points = list(all_vectors(fld, m))
-        qv_list = [form.evaluate(x) for x in points]
-        for coeffs in all_vectors(fld, m):
-            base = []
-            for x, qx in zip(points, qv_list):
-                acc = qx
-                for li, xi in zip(coeffs, x):
-                    if li and xi:
-                        acc = fld.add(acc, fld.mul(li, xi))
-                base.append(acc)
-            counter = Counter(base)
-            for c in cs:
-                tally[counter.get(fld.neg(c), 0)] += 1
-    return SpectrumMultiset(dict(tally), n * len(cs))
+    cs = oracle_constants(fld, form.m, c_class, max_evals)
+    counts = affine_shift_counts(fld, form.m, values_on_domain(form)[None])[0]
+    values, reps = np.unique(counts[:, [fld.neg(c) for c in cs]], return_counts=True)
+    return SpectrumMultiset(
+        {int(v): int(k) for v, k in zip(values, reps)}, fld.q ** form.m * len(cs)
+    )
 
 
 def merged_oracle(form: QuadraticForm, max_evals: int = DEFAULT_ORACLE_BUDGET) -> SpectrumMultiset:

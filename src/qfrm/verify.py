@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import census_exhaustive, census_formula
+from .census import DEFAULT_FORM_BUDGET, census_exhaustive, census_formula
 from .codes import (
     DEFAULT_SYMBOL_BUDGET,
     brute_force_distribution,
@@ -22,12 +22,14 @@ from .codes import (
 )
 from .errors import BudgetExceeded, UnsupportedParameters
 from .field import field_from_order
-from .forms import DEFAULT_POINT_BUDGET, admissible_tags, canonical_form
+from .forms import admissible_tags, canonical_form
 from .spectra import (
+    DEFAULT_ORACLE_BUDGET,
     CosetQuery,
     SpectrumMultiset,
     constant_classes,
     merged_oracle,
+    oracle_constants,
     spectrum_formula,
     spectrum_merged,
     spectrum_oracle,
@@ -57,7 +59,7 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def check_census(q, m, max_forms=1 << 26):
+def check_census(q, m, max_forms=DEFAULT_FORM_BUDGET):
     name = f"census q={q} m={m}"
     try:
         exhaustive = census_exhaustive(q, m, max_forms=max_forms)
@@ -71,37 +73,35 @@ def check_census(q, m, max_forms=1 << 26):
     return [CheckResult(name, ok, detail)]
 
 
-def check_spectra(q, m, max_evals=1 << 24):
+def check_spectra(q, m, max_evals=DEFAULT_ORACLE_BUDGET):
     results = []
     fld = field_from_order(q)
     for rank in range(0, m + 1):
         classes = constant_classes(q, rank)
         for tag in admissible_tags(q, rank):
-            form = canonical_form(fld, m, rank, tag)
+            form = None  # built only once a class fits the budget
             parts = []
-            for c_class in classes:
-                name = f"spectra q={q} m={m} r={rank} t={tag} class={c_class}"
+            for c_class in classes + ("all",):
+                label = "merged" if c_class == "all" else c_class
+                name = f"spectra q={q} m={m} r={rank} t={tag} class={label}"
                 try:
-                    oracle = spectrum_oracle(form, c_class, max_evals=max_evals)
+                    oracle_constants(fld, m, c_class, max_evals)
                 except BudgetExceeded as exc:
                     results.append(CheckResult(name, True, str(exc), skipped=True))
                     continue
+                if form is None:
+                    form = canonical_form(fld, m, rank, tag)
+                if c_class == "all":
+                    merged = spectrum_merged(q, m, rank, tag)
+                    ok = merged.entries == merged_oracle(form, max_evals=max_evals).entries
+                    if len(parts) == len(classes):
+                        ok = ok and SpectrumMultiset.merge(parts).entries == merged.entries
+                    results.append(CheckResult(name, ok))
+                    continue
+                oracle = spectrum_oracle(form, c_class, max_evals=max_evals)
                 parts.append(oracle)
                 formula = spectrum_formula(CosetQuery(q, m, rank, tag, c_class))
-                results.append(
-                    CheckResult(name, formula.entries == oracle.entries)
-                )
-            name = f"spectra q={q} m={m} r={rank} t={tag} class=merged"
-            try:
-                oracle_m = merged_oracle(form, max_evals=max_evals)
-            except BudgetExceeded as exc:
-                results.append(CheckResult(name, True, str(exc), skipped=True))
-                continue
-            merged = spectrum_merged(q, m, rank, tag)
-            ok = merged.entries == oracle_m.entries
-            if parts and len(parts) == len(classes):
-                ok = ok and SpectrumMultiset.merge(parts).entries == merged.entries
-            results.append(CheckResult(name, ok))
+                results.append(CheckResult(name, formula.entries == oracle.entries))
     return results
 
 
@@ -139,7 +139,7 @@ def check_codes(q, m, max_symbols=DEFAULT_SYMBOL_BUDGET):
 def run_verification(
     scope: str,
     pairs=None,
-    max_points=DEFAULT_POINT_BUDGET,
+    max_points=DEFAULT_ORACLE_BUDGET,
     max_symbols=DEFAULT_SYMBOL_BUDGET,
 ):
     """Run the requested scope over (q, m) pairs (defaults per scope)."""

@@ -240,6 +240,32 @@ def test_verify_spectra(capsys):
     assert "failed=0" in out.strip().splitlines()[-1]
 
 
+# sha256 of the stdout of `verify --scope spectra --q 2 --m 359`, recorded
+# while check_spectra still built every form before testing its budget
+VERIFY_SPECTRA_2_359_SHA256 = "12f5c93cfe6aa848778c4e954801a98a47031639ffa5565935b67a30082fd2e7"
+
+
+def test_verify_spectra_past_the_oracle_budget_builds_no_form(capsys):
+    # all 1,617 cases are over budget: each is skipped before its form is built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", "2", "--m", "359")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "passed=0 failed=0 skipped=1617"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SPECTRA_2_359_SHA256
+
+
+def test_verify_spectra_refuses_fields_past_the_table_limit(capsys):
+    # the oracles run on q x q operation tables, so q = 2048 exits 2 at once,
+    # as --scope codes does
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--scope", "spectra", "--q", "2048", "--m", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "q <= 1024" in err
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--scope", "census", "--q", "2-x", "--m", "2")
     assert code == 2

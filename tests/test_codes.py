@@ -9,7 +9,6 @@ import pytest
 from qfrm.census import census_formula
 from qfrm.codes import (
     CodeParameters,
-    affine_points,
     brute_force_distribution,
     code_parameters,
     coset_assembled_distribution,
@@ -17,12 +16,10 @@ from qfrm.codes import (
     format_enumerator,
     hrm2_distribution,
     prm2_distribution,
-    projective_points,
     rm2_distribution,
     weight_enumerator_text,
 )
 from qfrm.errors import BudgetExceeded, UnsupportedParameters
-from qfrm.field import field_new
 from qfrm.forms import TYPE_LABELS, admissible_tags, zero_count_formula
 from qfrm.verify import run_verification
 
@@ -90,14 +87,15 @@ def test_hrm2_single_variable():
         ("hrm2", 3, 2),
         ("hrm2", 4, 2),
         ("hrm2", 5, 2),
-        ("hrm2", 3, 1),  # k = 1: the high half of the split is empty
+        ("hrm2", 3, 1),  # k = 1: a single block of forms
         ("prm2", 2, 1),
         ("prm2", 2, 2),
-        ("prm2", 2, 4),  # k = 15: the two halves of the split differ in size
+        ("prm2", 2, 4),
         ("prm2", 3, 1),
         ("prm2", 3, 2),
         ("prm2", 4, 1),
         ("prm2", 5, 1),
+        *[(family, q, 2) for q in (7, 8, 9) for family in ("rm2", "hrm2", "prm2")],
     ],
 )
 def test_formula_matches_brute_force(family, q, m):
@@ -191,29 +189,3 @@ def test_enumerator_formatting():
     assert format_enumerator({0: 1, 5: 1}) == "1 + Z^5"
     assert format_enumerator({0: 1, 3: 7, 5: 1}) == "1 + 7*Z^3 + Z^5"
     assert format_enumerator({}) == "0"
-
-
-def test_affine_points_order():
-    f = field_new(3)
-    pts = affine_points(f, 2)
-    assert pts[0] == (0, 0)
-    assert pts[1] == (0, 1)  # leftmost coordinate most significant
-    assert pts[3] == (1, 0)
-    assert len(pts) == 9
-
-
-@pytest.mark.parametrize("q,nv", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)])
-def test_projective_points_invariants(q, nv):
-    fld = field_new(2, 2) if q == 4 else field_new(q)
-    pts = projective_points(fld, nv)
-    assert len(pts) == (q ** nv - 1) // (q - 1)
-    for x in pts:
-        assert next(c for c in x if c) == 1
-    # no two representatives are scalar multiples
-    seen = set()
-    for x in pts:
-        for lam in range(1, q):
-            scaled = tuple(fld.mul(lam, c) for c in x)
-            assert scaled not in seen
-        seen.add(x)
-    assert list(pts) == sorted(pts)

@@ -4,6 +4,7 @@ zero counts, each checked against direct enumeration."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from qfrm.errors import (
     BudgetExceeded,
     DimensionMismatch,
     EvenCharacteristic,
+    FieldTooLarge,
     InconsistentRankType,
     SingularSubstitution,
     ZeroCoefficient,
@@ -22,7 +24,7 @@ from qfrm.forms import (
     RankType,
     Substitution,
     admissible_tags,
-    all_vectors,
+    affine_shift_counts,
     bilinear_of,
     canonical_form,
     classify,
@@ -34,6 +36,7 @@ from qfrm.forms import (
     triangle_pairs,
     triangle_size,
     type_from_diagonal,
+    values_on_domain,
     zero_count_exhaustive,
     zero_count_formula,
 )
@@ -46,6 +49,11 @@ F5 = field_new(5)
 SMALL_FIELDS = {
     2: F2, 3: F3, 4: F4, 5: F5, 7: field_new(7), 8: field_new(2, 3), 9: field_new(3, 2), 16: field_new(2, 4),
 }
+
+
+def all_vectors(field, m):
+    """The points of GF(q)^m in index order, leftmost coordinate most significant."""
+    return itertools.product(range(field.q), repeat=m)
 
 
 def form(field, m, entries):
@@ -182,6 +190,32 @@ def test_zero_count_exhaustive_examples():
 def test_zero_count_budget():
     with pytest.raises(BudgetExceeded):
         zero_count_exhaustive(QuadraticForm.zero(F2, 4), max_points=10)
+
+
+def test_zero_count_refuses_fields_past_the_table_limit():
+    # the enumeration runs on q x q operation tables; there is no per-point fallback
+    with pytest.raises(FieldTooLarge):
+        zero_count_exhaustive(QuadraticForm.zero(field_new(2, 11), 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_affine_shift_counts_match_direct_count(q, m):
+    fld = SMALL_FIELDS[q]
+    rng = random.Random(7919 * q + m)
+    forms = [random_form(rng, fld, m) for _ in range(3)]
+    counts = affine_shift_counts(fld, m, np.stack([values_on_domain(Q) for Q in forms]))
+    assert counts.shape == (len(forms), q ** m, q)
+    # dots[L, x] = L.x, with L and x both in point index order
+    points = np.array(list(all_vectors(fld, m)), dtype=np.int64).reshape(q ** m, m)
+    dots = np.zeros((q ** m, q ** m), dtype=np.int64)
+    for i in range(m):
+        dots = fld.add_array[dots, fld.mul_array[points[:, i][:, None], points[:, i][None, :]]]
+    for f, Q in enumerate(forms):
+        qv = np.array([Q.evaluate(tuple(x)) for x in points.tolist()], dtype=np.int64)
+        shifted = fld.add_array[dots, qv[None, :]]  # Q(x) + L.x
+        direct = (shifted[:, :, None] == np.arange(q)).sum(axis=1)
+        assert (counts[f] == direct).all(), (q, m, Q.coeffs)
 
 
 @pytest.mark.parametrize(
