@@ -4,22 +4,41 @@
 arithmetic, the whole table in one pass per (q, m): each rank's product
 follows from the previous one by a ratio, so no caller rebuilds a rank's
 product from scratch (``count_even_rank`` and ``count_odd_rank`` read one
-entry of that table). ``census_exhaustive`` classifies every coefficient
-table and tallies, serving as the oracle for the formulas. Odd ranks over odd q
-are stored under a merged ``odd_total`` key; the exhaustive pass also
-records the per-type split, which is informative only and never
-compared against a formula.
+entry of that table). ``census_exhaustive`` is the oracle for the
+formulas: it enumerates every form as its values on the q^m points, in
+numpy blocks, and reads rank and type from point counts alone (the
+bilinear radical and the zero count), sharing no code with ``classify``.
+Odd ranks over odd q are stored under a merged ``odd_total`` key; the
+exhaustive pass also records the per-type split, which is informative
+only and never compared against a formula.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+import functools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import BudgetExceeded, InexactDivision, OutOfRange
-from .field import field_from_order
-from .forms import TYPE_LABELS, QuadraticForm, classify, triangle_size
+import numpy as np
+
+from .errors import (
+    BudgetExceeded,
+    InexactDivision,
+    InternalInconsistency,
+    OutOfRange,
+    count_text,
+)
+from .field import FiniteField, field_from_order
+from .forms import (
+    _BLOCK,
+    TYPE_LABELS,
+    _coordinate_planes,
+    _form_blocks,
+    _monomial_planes,
+    triangle_size,
+)
+# classify stays importable here, though the oracle no longer calls it:
+# perfbench/tracing.py wraps it under this module's name
+from .forms import classify  # noqa: F401
 
 DEFAULT_FORM_BUDGET = 1 << 26
 
@@ -104,22 +123,77 @@ def census_formula(q: int, m: int) -> CensusTable:
     return CensusTable(q, m, entries)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_shifts(field: FiniteField, m: int):
+    """For each coordinate i, the index of the point y + e_i at every y."""
+    q = field.q
+    step = field.add_array[:, 1].astype(np.intp) - np.arange(q)  # a + 1 - a, as indices
+    idx = np.arange(q ** m, dtype=np.intp)
+    return tuple(
+        idx + step[plane] * q ** (m - 1 - i)
+        for i, plane in enumerate(_coordinate_planes(field, m))
+    )
+
+
+def _rank_and_type(field: FiniteField, m: int, values: np.ndarray):
+    """Rank and type tag of every form in ``values``, shape (q^m, F): the
+    column of form f holds Q_f on the points in index order. Tags are +1
+    and -1, and 0 for an untyped form (odd rank over even q).
+
+    The radical is {y : Q(y + e_i) = Q(y) + Q(e_i) for every i}, where the
+    polar form B(y, .) vanishes, and for even q also Q(y) = 0; the rank
+    is m - log_q of its size. An even rank has type +1 iff Q has more than
+    q^(m-1) zeros; an odd rank over odd q iff Q takes the value 1 more
+    than q^(m-1) times (the zero count is q^(m-1) for both types there).
+    """
+    q = field.q
+    n = q ** m
+    add = field.add_array
+    zeros = values == 0
+    radical = zeros.copy() if q % 2 == 0 else np.ones(values.shape, dtype=bool)
+    for i, shift in enumerate(_unit_shifts(field, m)):
+        radical &= values[shift] == add[values, values[q ** (m - 1 - i)]]
+    log = np.full(n + 1, -1)
+    log[q ** np.arange(m + 1)] = np.arange(m + 1)
+    dims = log[radical.sum(axis=0)]
+    if (dims < 0).any():
+        raise InternalInconsistency("a radical size is not a power of q")
+    rank = m - dims
+    even_tag = np.where(zeros.sum(axis=0) * q > n, 1, -1)
+    odd_tag = np.where((values == 1).sum(axis=0) * q > n, 1, -1) if q % 2 else 0
+    return rank, np.where(rank % 2, odd_tag, even_tag)
+
+
 def census_exhaustive(q: int, m: int, max_forms: int = DEFAULT_FORM_BUDGET) -> CensusTable:
-    """Classify every coefficient table on GF(q)^m and tally by (rank, type)."""
+    """Enumerate every form on GF(q)^m and tally by (rank, type).
+
+    Each block of forms is evaluated on all q^m points at once
+    (``forms._form_blocks``) and classified by ``_rank_and_type`` from
+    point counts, never through ``classify``. The field's q x q tables
+    limit q to ``GRID_TABLE_MAX``; larger fields raise FieldTooLarge.
+    """
     fld = field_from_order(q)
-    dim = triangle_size(m)
-    n_forms = q ** dim
+    n_forms = q ** triangle_size(m)
     if n_forms > max_forms:
-        raise BudgetExceeded(f"{n_forms} forms exceed the budget {max_forms}")
+        raise BudgetExceeded(
+            f"{count_text(n_forms)} forms exceed the budget {count_text(max_forms)}"
+        )
+    # tally[rank, tag + 1], tags -1, 0 (untyped), +1
+    tally = np.zeros(3 * (m + 1), dtype=np.int64)
+    add = fld.add_array
+    for low, high in _form_blocks(fld, _monomial_planes(fld, m), max(1, _BLOCK // q ** m)):
+        rank, tag = _rank_and_type(fld, m, add[low, high])
+        tally += np.bincount(3 * rank + tag + 1, minlength=len(tally))
     label = _odd_rank_label(q)
-    tally: Counter = Counter()
-    split: Counter = Counter()
-    for coeffs in itertools.product(range(q), repeat=dim):
-        rt = classify(QuadraticForm(fld, m, coeffs))
-        if rt.rank % 2:
-            tally[(rt.rank, label)] += 1
-            if q % 2:
-                split[(rt.rank, rt.label)] += 1
+    entries: dict[tuple[int, str], int] = {}
+    split: dict[tuple[int, str], int] = {}
+    for (rank, column), count in np.ndenumerate(tally.reshape(m + 1, 3)):
+        if not count:
+            continue
+        tag = (-1, None, 1)[column]
+        if rank % 2:
+            entries[(rank, label)] = entries.get((rank, label), 0) + int(count)
+            split[(rank, TYPE_LABELS[tag])] = int(count)
         else:
-            tally[(rt.rank, rt.label)] += 1
-    return CensusTable(q, m, dict(tally), odd_split=dict(split) if q % 2 else None)
+            entries[(rank, TYPE_LABELS[tag])] = int(count)
+    return CensusTable(q, m, entries, odd_split=split if q % 2 else None)

@@ -22,6 +22,7 @@ cross coefficient c contributes 2c * x_i * x_j to the polynomial.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -317,6 +318,9 @@ def _add_common(parser, fmt=True):
     parser.add_argument("--output", help="write data to this path instead of stdout")
 
 
+# one parser per process: parse_args leaves it unchanged, and building it
+# costs more than most in-process calls of main
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfrm",

@@ -18,7 +18,6 @@ reproduce after division by q - 1.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,10 +31,13 @@ from .errors import (
     InternalInconsistency,
     NonDivisibleWeight,
     UnsupportedParameters,
+    count_text,
 )
 from .field import field_from_order
 from .forms import (
+    _BLOCK,
     TYPE_LABELS,
+    _form_blocks,
     _monomial_planes,
     admissible_tags,
     affine_shift_counts,
@@ -46,10 +48,6 @@ from .spectra import coset_weight_multiset
 FAMILIES = ("rm2", "hrm2", "prm2")
 
 DEFAULT_SYMBOL_BUDGET = 1 << 34
-
-# entries of the largest array one block of the codeword oracle builds (the
-# affine-shift gather, or the zero-count compare for hrm2); bounds its memory
-_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -260,25 +258,6 @@ def distribution(family: str, q: int, m: int) -> WeightDistribution:
 
 # -- brute-force codeword enumeration --------------------------------------------------
 
-def _form_blocks(field, planes, rows):
-    """Every linear combination of ``planes`` over the field, in blocks of
-    at most ``rows`` combinations (at least one). A block is a pair
-    (low, high) whose values are low + high, point by point: ``low`` has
-    one column per combination of the last planes and is built once,
-    ``high`` is one column that walks the span of the rest."""
-    add, mul = field.add_array, field.mul_array
-    low = np.zeros((len(planes[0]), 1), dtype=field.dtype)
-    split = len(planes)
-    while split and low.shape[1] * field.q <= rows:
-        split -= 1
-        low = add[low[:, None, :], mul[:, planes[split]].T[:, :, None]].reshape(len(low), -1)
-    for coeffs in itertools.product(field.elements(), repeat=split):
-        high = low[:, :1]
-        for c, plane in zip(coeffs, planes):
-            high = add[high, mul[c][plane][:, None]]
-        yield low, high
-
-
 def brute_force_distribution(
     family: str, q: int, m: int, max_symbols: int = DEFAULT_SYMBOL_BUDGET
 ) -> WeightDistribution:
@@ -301,7 +280,9 @@ def brute_force_distribution(
     params = code_parameters(family, q, m)
     n_symbols = q ** params.k * params.n
     if n_symbols > max_symbols:
-        raise BudgetExceeded(f"{n_symbols} symbol evaluations exceed {max_symbols}")
+        raise BudgetExceeded(
+            f"{count_text(n_symbols)} symbol evaluations exceed {count_text(max_symbols)}"
+        )
     field = field_from_order(q)
     planes = _monomial_planes(field, m)
     if family == "rm2" and q == 2:

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of the exact
+counts their messages quote."""
+
+from decimal import Decimal
+
+
+def count_text(n: int) -> str:
+    """The decimal digits of an exact count, however long. ``str`` of an
+    int refuses past CPython's digit cap (``sys.set_int_max_str_digits``,
+    4,300 by default); a Decimal is built from the integer's binary
+    digits and printed without that check."""
+    return str(Decimal(n))
 
 
 class QfrmError(Exception):

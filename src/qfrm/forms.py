@@ -16,6 +16,7 @@ significant, so point 0 is the zero vector.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,15 @@ from .errors import (
     InternalInconsistency,
     SingularSubstitution,
     ZeroCoefficient,
+    count_text,
 )
 from .field import FiniteField
 
 DEFAULT_POINT_BUDGET = 1 << 24
+
+# entries of the largest array one block of forms may build in the
+# enumeration oracles (census, codewords); bounds their memory
+_BLOCK = 1 << 18
 
 
 def triangle_size(m: int) -> int:
@@ -348,6 +354,31 @@ def _monomial_planes(field: FiniteField, m: int):
     return tuple(mul[planes[i], planes[j]] for i, j in triangle_pairs(m))
 
 
+def _form_blocks(field, planes, rows):
+    """Every linear combination of ``planes`` over the field, in blocks of
+    at most ``rows`` combinations (at least one). A block is a pair
+    (low, high) whose values are low + high, point by point: ``low`` has
+    one column per combination of the last planes and is built once,
+    ``high`` is one column that walks the span of the rest. With no
+    planes (m = 0) the one combination is zero on the one point.
+
+    Over any q the span of the monomial planes x_i x_j (i <= j) is the set
+    of quadratic forms, one function per coefficient table: over odd q
+    the cross term 2 c_ij x_i x_j runs over the same span, as 2 is a unit.
+    """
+    add, mul = field.add_array, field.mul_array
+    low = np.zeros((len(planes[0]) if planes else 1, 1), dtype=field.dtype)
+    split = len(planes)
+    while split and low.shape[1] * field.q <= rows:
+        split -= 1
+        low = add[low[:, None, :], mul[:, planes[split]].T[:, :, None]].reshape(len(low), -1)
+    for coeffs in itertools.product(field.elements(), repeat=split):
+        high = low[:, :1]
+        for c, plane in zip(coeffs, planes):
+            high = add[high, mul[c][plane][:, None]]
+        yield low, high
+
+
 def values_on_domain(form: QuadraticForm) -> np.ndarray:
     """Q evaluated at every point of GF(q)^m in index order.
 
@@ -374,7 +405,9 @@ def zero_count_exhaustive(form: QuadraticForm, max_points: int = DEFAULT_POINT_B
     """Count zeros by full enumeration of the q^m points."""
     n = form.field.q ** form.m
     if n > max_points:
-        raise BudgetExceeded(f"domain has {n} points, budget is {max_points}")
+        raise BudgetExceeded(
+            f"domain has {count_text(n)} points, budget is {count_text(max_points)}"
+        )
     return int(np.count_nonzero(values_on_domain(form) == 0))
 
 

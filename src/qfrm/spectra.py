@@ -25,6 +25,7 @@ from .errors import (
     InexactDivision,
     InternalInconsistency,
     UnsupportedForBinary,
+    count_text,
 )
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
@@ -273,7 +274,9 @@ def oracle_constants(field, m: int, c_class: str, max_evals: int):
         raise InconsistentQuery(f"unknown constant class {c_class!r}")
     n = q ** m
     if n * n * max(len(cs), 1) > max_evals:
-        raise BudgetExceeded(f"{n * n * len(cs)} evaluations exceed {max_evals}")
+        raise BudgetExceeded(
+            f"{count_text(n * n * len(cs))} evaluations exceed {count_text(max_evals)}"
+        )
     return cs
 
 

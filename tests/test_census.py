@@ -1,15 +1,23 @@
-"""Closed-form census counts against the exhaustive classification oracle."""
+"""Closed-form census counts against the exhaustive oracle, and that
+oracle's point-count invariants against ``classify`` form by form."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from qfrm.census import (
     CensusTable,
+    _rank_and_type,
     census_exhaustive,
     census_formula,
     count_even_rank,
     count_odd_rank,
 )
 from qfrm.errors import BudgetExceeded, OutOfRange
+from qfrm.field import field_from_order
+from qfrm.forms import QuadraticForm, classify, triangle_size, values_on_domain
+from qfrm.verify import CENSUS_GRID
 
 SWEEP = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in range(0, 9)]
 
@@ -115,7 +123,9 @@ def test_counts_positive(q, m):
 
 
 @pytest.mark.parametrize(
-    "q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]
+    "q,m",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]
+    + [(2, 5), (3, 3), (3, 4), (4, 3), (5, 3), (7, 2), (8, 2), (9, 2)],
 )
 def test_formula_equals_exhaustive(q, m):
     assert census_formula(q, m).entries == census_exhaustive(q, m).entries
@@ -147,3 +157,18 @@ def test_equality_ignores_split():
     a = census_formula(3, 2)
     b = census_exhaustive(3, 2)
     assert isinstance(a, CensusTable) and a.entries == b.entries
+
+
+@pytest.mark.parametrize("q,m", CENSUS_GRID + ((4, 3), (5, 3), (8, 2), (16, 2)))
+def test_classify_agrees_with_batched_invariants(q, m):
+    # the census oracle reads rank and type from point counts, never through
+    # classify; here those invariants check classify on every form, each
+    # evaluated on its own by values_on_domain
+    fld = field_from_order(q)
+    forms = [
+        QuadraticForm(fld, m, coeffs)
+        for coeffs in itertools.product(range(q), repeat=triangle_size(m))
+    ]
+    ranks, tags = _rank_and_type(fld, m, np.stack([values_on_domain(f) for f in forms], axis=1))
+    expected = list(zip(ranks.tolist(), tags.tolist()))
+    assert [(rt.rank, rt.type_tag or 0) for rt in map(classify, forms)] == expected

@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from qfrm import cli
 from qfrm.cli import MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import rm2_distribution
 
@@ -188,10 +187,7 @@ def _rank_type_sweep():
                             yield argv + (["--type", typ] if typ else [])
 
 
-def test_rank_type_sweep_is_byte_identical(capsys, monkeypatch):
-    # one parser serves every call; building it is most of an in-process call
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+def test_rank_type_sweep_is_byte_identical(capsys):
     digest = hashlib.sha256()
     for argv in _rank_type_sweep():
         code = main(argv)
@@ -206,6 +202,26 @@ def test_verify_census(capsys):
     assert lines[0].startswith("PASS census q=2 m=4")
     assert "1024 forms" in lines[0]
     assert lines[-1] == "passed=1 failed=0 skipped=0"
+
+
+def test_verify_census_q3_m4_is_prompt(capsys):
+    # 59,049 forms, classified in numpy blocks from point counts
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--scope", "census", "--q", "3", "--m", "4")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS census q=3 m=4 (59049 forms classified)",
+        "passed=1 failed=0 skipped=0",
+    ]
+
+
+def test_verify_census_refuses_fields_past_the_table_limit(capsys):
+    # the census oracle evaluates forms through the field's q x q tables
+    code, out, err = run(capsys, "verify", "--scope", "census", "--q", "2048", "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert "q <= 1024" in err
 
 
 def test_verify_codes(capsys):
