@@ -187,12 +187,8 @@ def _cmd_count(args) -> int:
             _emit(args, str(items[0][1]))
             return 0
     if args.format == "json":
-        payload = table.to_json_dict()
-        payload["entries"] = [
-            {"rank": rank, "type": label, "count": str(count)}
-            for (rank, label), count in items
-        ]
-        _emit(args, json.dumps(payload))
+        entries = [{"rank": r, "type": l, "count": str(c)} for (r, l), c in items]
+        _emit(args, json.dumps({"q": table.q, "m": table.m, "entries": entries}))
     elif args.format == "csv":
         lines = ["rank,type,count"] + [f"{r},{l},{c}" for (r, l), c in items]
         _emit(args, "\n".join(lines))

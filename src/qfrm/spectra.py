@@ -5,15 +5,18 @@ multiset of the matching first-order-code coset.
 The closed forms depend only on (q, m, rank, type, class), all behind
 ``spectrum_formula``, for the classes that ``constant_classes`` names. The
 brute-force oracle ``spectrum_oracle`` counts instead: one call of
-``forms.affine_shift_counts`` gives the zero count of Q + L + c for every
-linear functional L and constant c at once, exactly, for q <= 1024. A
-class multiset covers the whole class: the single constant 0 for
-``zero``, the (q-1)/2 square or nonsquare constants, or all q-1 nonzero
-constants for ``nonzero``, so oracle and formula agree entrywise.
+``forms.affine_shift_counts`` per form gives the zero count of Q + L + c
+for every linear functional L and constant c at once, exactly, for
+q <= 1024. The last form's table is kept, so the calls for each class
+of one form and ``merged_oracle`` read one transform. A class multiset
+covers the whole class: the single constant 0 for ``zero``, the (q-1)/2
+square or nonsquare constants, or all q-1 nonzero constants for
+``nonzero``, so oracle and formula agree entrywise.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -280,6 +283,15 @@ def oracle_constants(field, m: int, c_class: str, max_evals: int):
     return cs
 
 
+@functools.lru_cache(maxsize=1)
+def _shift_counts(form: QuadraticForm) -> np.ndarray:
+    """H[L, s] of ``affine_shift_counts`` for one form, read-only: every
+    constant class of the form is read from the same table."""
+    counts = affine_shift_counts(form.field, form.m, values_on_domain(form)[None])[0]
+    counts.flags.writeable = False
+    return counts
+
+
 def spectrum_oracle(
     form: QuadraticForm, c_class: str, max_evals: int = DEFAULT_ORACLE_BUDGET
 ) -> SpectrumMultiset:
@@ -290,11 +302,12 @@ def spectrum_oracle(
     an exact count over the points; no closed forms involved.
     """
     fld = form.field
+    n = fld.q ** form.m
     cs = oracle_constants(fld, form.m, c_class, max_evals)
-    counts = affine_shift_counts(fld, form.m, values_on_domain(form)[None])[0]
-    values, reps = np.unique(counts[:, [fld.neg(c) for c in cs]], return_counts=True)
+    counts = _shift_counts(form)[:, [fld.neg(c) for c in cs]]
+    tally = np.bincount(counts.ravel(), minlength=n + 1)
     return SpectrumMultiset(
-        {int(v): int(k) for v, k in zip(values, reps)}, fld.q ** form.m * len(cs)
+        {int(v): int(tally[v]) for v in np.flatnonzero(tally)}, n * len(cs)
     )
 
 

@@ -36,8 +36,8 @@ def test_count_text_is_exact_past_the_cap():
 
 
 def test_census_budget_past_the_cap():
-    # 2^20100 forms: 6,051 digits
-    with pytest.raises(BudgetExceeded, match=r"^\d{6051} forms exceed the budget 67108864$"):
+    # 2^20100 forms of 2^200 points each: 6,111 digits
+    with pytest.raises(BudgetExceeded, match=r"^\d{6111} evaluations exceed the budget 67108864$"):
         census_exhaustive(2, 200)
     results = run_verification("census", [(2, 200)])
     assert [(r.name, r.status) for r in results] == [("census q=2 m=200", "SKIP")]

@@ -133,7 +133,7 @@ def test_formula_equals_exhaustive(q, m):
 
 def test_exhaustive_budget():
     with pytest.raises(BudgetExceeded):
-        census_exhaustive(3, 3, max_forms=100)
+        census_exhaustive(3, 3, max_evals=100)
 
 
 def test_odd_split_recorded_and_consistent():

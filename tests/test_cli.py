@@ -216,6 +216,31 @@ def test_verify_census_q3_m4_is_prompt(capsys):
     ]
 
 
+VERIFY_ALL_SHA256 = "d840486956895b85e734194b873d973bff4dfe89cb22f77de694b22889708246"
+
+
+def test_verify_all_is_byte_identical(capsys):
+    # every acceptance grid, PASS/SKIP line by line; the hash pins the stdout
+    code, out, _ = run(capsys, "verify", "--scope", "all")
+    assert code == 0
+    assert out.endswith("passed=212 failed=0 skipped=0\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (4, 4), (3, 5)])
+def test_verify_census_budget_counts_evaluations(capsys, q, m):
+    # q^(m(m+1)/2) forms times q^m points each exceed the default 2^26
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--scope", "census", "--q", str(q), "--m", str(m))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"SKIP census q={q} m={m}")
+    assert lines[0].endswith("evaluations exceed the budget 67108864)")
+    assert lines[1] == "passed=0 failed=0 skipped=1"
+
+
 def test_verify_census_refuses_fields_past_the_table_limit(capsys):
     # the census oracle evaluates forms through the field's q x q tables
     code, out, err = run(capsys, "verify", "--scope", "census", "--q", "2048", "--m", "1")

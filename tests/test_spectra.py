@@ -1,9 +1,12 @@
 """Coset zero-count multisets: closed forms against the brute-force oracle."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from qfrm import spectra
 from qfrm.errors import InconsistentQuery, UnsupportedForBinary
 from qfrm.field import field_new
 from qfrm.forms import (
@@ -14,6 +17,7 @@ from qfrm.forms import (
     substitute,
     triangle_size,
 )
+from qfrm.verify import run_verification
 from qfrm.spectra import (
     CosetQuery,
     SpectrumMultiset,
@@ -25,7 +29,10 @@ from qfrm.spectra import (
     spectrum_oracle,
 )
 
-FIELDS = {2: field_new(2), 3: field_new(3), 4: field_new(2, 2), 5: field_new(5)}
+FIELDS = {
+    2: field_new(2), 3: field_new(3), 4: field_new(2, 2), 5: field_new(5),
+    7: field_new(7), 8: field_new(2, 3), 9: field_new(3, 2),
+}
 
 
 def test_even_q_examples():
@@ -154,3 +161,98 @@ def test_mean_identity_merged():
                 merged = spectrum_merged(q, m, rank, tag)
                 grand = sum(v * k for v, k in merged.entries.items())
                 assert grand == q ** (2 * m)
+
+
+
+def _direct_zero_counts(form):
+    """hist[L][s] = #{x : Q(x) + L.x = s}, by QuadraticForm.evaluate and the
+    field's scalar operations, L running over the points."""
+    fld, m = form.field, form.m
+    add = [[fld.add(a, b) for b in range(fld.q)] for a in range(fld.q)]
+    mul = [[fld.mul(a, b) for b in range(fld.q)] for a in range(fld.q)]
+    points = list(itertools.product(range(fld.q), repeat=m))
+    values = [form.evaluate(x) for x in points]
+    hist = []
+    for L in points:
+        counts = Counter()
+        for x, v in zip(points, values):
+            for li, xi in zip(L, x):
+                v = add[v][mul[li][xi]]
+            counts[v] += 1
+        hist.append(counts)
+    return hist
+
+
+def _oracle_classes(q):
+    """Every class the oracle accepts over GF(q), whatever the rank."""
+    return ("zero", "nonzero", "all") + (("square", "nonsquare") if q % 2 else ())
+
+
+def _direct_spectrum(hist, fld, c_class):
+    if c_class == "all":
+        cs = range(fld.q)
+    elif c_class == "zero":
+        cs = [0]
+    elif c_class == "nonzero":
+        cs = range(1, fld.q)
+    else:
+        want = 1 if c_class == "square" else -1
+        cs = [c for c in range(1, fld.q) if fld.quadratic_character(c) == want]
+    return dict(Counter(h[fld.neg(c)] for h in hist for c in cs))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shared_transform_matches_direct_count(q, m):
+    # every class of a form reads one cached transform; the calls on two forms
+    # are shuffled together, so a table kept for the wrong form would show
+    fld = FIELDS[q]
+    rng = random.Random(1000 * q + m)
+    forms = [canonical_form(fld, m, r, t) for r in range(m + 1) for t in admissible_tags(q, r)]
+    forms += [
+        QuadraticForm(fld, m, tuple(rng.randrange(q) for _ in range(triangle_size(m))))
+        for _ in range(2)
+    ]
+    if m == 3 and q > 5:  # the direct count costs q^(2m) steps a form
+        forms = forms[-3:-1]
+    hists = {Q: _direct_zero_counts(Q) for Q in forms}
+    for pair in zip(forms, forms[1:] + forms[:1]):
+        calls = [(Q, c) for Q in pair for c in _oracle_classes(q)]
+        rng.shuffle(calls)
+        for Q, c_class in calls:
+            expected = _direct_spectrum(hists[Q], fld, c_class)
+            assert spectrum_oracle(Q, c_class).entries == expected, (Q, c_class)
+        assert merged_oracle(pair[0]).entries == _direct_spectrum(hists[pair[0]], fld, "all")
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_shift_counts_keyed_by_field(m):
+    # the zero forms over GF(2) and GF(3) share m and coefficients
+    for q in (2, 3, 2):
+        Q = QuadraticForm.zero(FIELDS[q], m)
+        hist = _direct_zero_counts(Q)
+        for c_class in _oracle_classes(q):
+            assert spectrum_oracle(Q, c_class).entries == _direct_spectrum(hist, FIELDS[q], c_class)
+
+
+def test_shift_counts_are_read_only():
+    counts = spectra._shift_counts(canonical_form(FIELDS[3], 2, 2, 1))
+    assert not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[0, 0] = 0
+
+
+def test_one_transform_per_form_on_the_default_grid(monkeypatch):
+    calls = []
+
+    def counting(field, m, values):
+        calls.append((field.q, m, len(values)))
+        return kernel(field, m, values)
+
+    kernel = spectra.affine_shift_counts
+    monkeypatch.setattr(spectra, "affine_shift_counts", counting)
+    spectra._shift_counts.cache_clear()
+    results = run_verification("spectra")
+    assert results and all(r.passed and not r.skipped for r in results)
+    assert len(calls) == 52
+    assert all(n == 1 for _, _, n in calls)
