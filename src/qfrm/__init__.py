@@ -25,18 +25,13 @@ from .codes import (
 from .field import FiniteField, field_from_order, field_new
 from .forms import (
     TYPE_LABELS,
-    BilinearForm,
     QuadraticForm,
     RankType,
     Substitution,
     admissible_tags,
-    bilinear_of,
     canonical_form,
     classify,
     diagonalize,
-    radical_bilinear,
-    radical_form,
-    rank_of,
     substitute,
     type_from_diagonal,
     validate_rank_type,

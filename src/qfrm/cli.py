@@ -6,7 +6,8 @@ Data goes to stdout (or --output), diagnostics to stderr. Exit codes:
 3 internal invariant violation. ``dist``, ``count``, ``spectrum`` and
 ``verify`` exit 2 at once when the largest number they would print (for
 ``verify``, build) exceeds ``MAX_OUTPUT_BITS`` bits; the check runs before
-any big integer is built.
+any big integer is built. ``classify`` exits 2 before it builds a form of
+more than ``MAX_FORM_COEFFS`` coefficients.
 
 Coefficient text grammar (classify input and canonical output)::
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -32,7 +34,6 @@ from .census import census_formula
 from .codes import (
     DEFAULT_SYMBOL_BUDGET,
     code_dimension,
-    code_parameters,
     distribution,
     weight_enumerator_text,
 )
@@ -52,6 +53,7 @@ from .forms import (
     canonical_form,
     classify,
     triangle_pairs,
+    triangle_size,
     zero_count_formula,
 )
 from .spectra import DEFAULT_ORACLE_BUDGET, CosetQuery, spectrum_formula, spectrum_merged
@@ -65,6 +67,12 @@ _HEAD_RE = re.compile(r"^\s*q=(\d+)\s+m=(\d+)\s*;(.*)$", re.DOTALL)
 # a second or two), and every table of the test suite and the benchmark stays
 # inside it.
 MAX_OUTPUT_BITS = 1 << 16
+
+# Largest coefficient table, m(m+1)/2 entries, that classify accepts: m up to
+# 1023, where a sparse form classifies in about a second. The largest zero
+# count classify prints, q^m for the zero form, then stays under
+# MAX_OUTPUT_BITS for every field (20 * 1023 bits at q = 2^20).
+MAX_FORM_COEFFS = 1 << 19
 
 
 def _check_output_size(q: int, exponent: int) -> None:
@@ -83,6 +91,12 @@ def _check_output_size(q: int, exponent: int) -> None:
 
 def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
     field = field_from_order(q)
+    # refuse before the m(m+1)/2 coefficient table is allocated
+    if triangle_size(m) > MAX_FORM_COEFFS:
+        raise OutOfRange(
+            f"a form in {m} variables has {triangle_size(m)} coefficients, "
+            f"over the cap of {MAX_FORM_COEFFS}"
+        )
     entries = {}
     seen_len = 0
     for match in _COEFF_RE.finditer(body):
@@ -236,7 +250,8 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _parse_range(spec: str | None) -> list[int] | None:
+def _parse_range(spec: str | None) -> list[range] | None:
+    """The values of a ``1,3-5`` list as unexpanded ranges, in order."""
     if spec is None:
         return None
     out = []
@@ -246,9 +261,9 @@ def _parse_range(spec: str | None) -> list[int] | None:
             lo, hi = part.split("-", 1)
             if not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
                 raise QfrmError(f"bad range {part!r}")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.append(range(int(lo), int(hi) + 1))
         elif part.isdigit():
-            out.append(int(part))
+            out.append(range(int(part), int(part) + 1))
         else:
             raise QfrmError(f"bad range element {part!r}")
     return out
@@ -261,13 +276,16 @@ def _cmd_verify(args) -> int:
         raise QfrmError("give both --q and --m, or neither for the default grids")
     pairs = None
     if qs is not None:
-        for q in qs:
+        # the ranges are walked lazily, so a huge one stops at its first
+        # refused value and no list is built until every pair has passed
+        for q in itertools.chain(*qs):
             field_from_order(q)  # validates prime powers up front
-        pairs = [(q, m) for q in qs for m in ms]
-        for q, m in pairs:
-            # no check builds or prints a power of q past q^((m+2)(m+3)/2): the
-            # prm2 dimension (m+1)(m+2)/2 plus n <= q^(m+1) in a symbol count
-            _check_output_size(q, (m + 2) * (m + 3) // 2)
+        for q in itertools.chain(*qs):
+            for m in itertools.chain(*ms):
+                # no check builds or prints a power of q past q^((m+2)(m+3)/2): the
+                # prm2 dimension (m+1)(m+2)/2 plus n <= q^(m+1) in a symbol count
+                _check_output_size(q, (m + 2) * (m + 3) // 2)
+        pairs = [(q, m) for q in itertools.chain(*qs) for m in itertools.chain(*ms)]
     results = run_verification(
         args.scope, pairs, max_points=args.max_points, max_symbols=args.max_codewords
     )

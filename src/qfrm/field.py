@@ -170,8 +170,6 @@ class FiniteField:
         self.p = p
         self.e = e
         self.q = q
-        self.zero = 0
-        self.one = 1
         self.modulus = self._find_modulus(p, e)
         # modulus packed as an int bitmask, used by the char-2 fast path
         self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
@@ -190,20 +188,6 @@ class FiniteField:
         raise InternalInconsistency("no irreducible polynomial found")  # unreachable
 
     # -- element encoding ---------------------------------------------------
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of an element, constant term first, length e."""
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_digits(self, ds) -> int:
-        a = 0
-        for d in reversed(list(ds)):
-            a = a * self.p + (d % self.p)
-        return a
 
     def _int_to_poly(self, a):
         out = []
@@ -329,12 +313,7 @@ class FiniteField:
         exp, log = el
         return exp[(self.q - 1 - log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
         r = 1
         while n:
             if n & 1:
@@ -351,12 +330,6 @@ class FiniteField:
             t = self.pow(t, self.p)
             acc = self.add(acc, t)
         return acc
-
-    def sqrt(self, a: int) -> int:
-        """Unique square root in even characteristic (inverse Frobenius)."""
-        if self.p != 2:
-            raise OddCharacteristic("unique square roots need even characteristic")
-        return self.pow(a, self.q // 2)
 
     def quadratic_character(self, a: int) -> int:
         """0 for a = 0, +1 for nonzero squares, -1 for nonsquares (odd q only)."""

@@ -1,6 +1,7 @@
 """Quadratic forms on GF(q)^m: representation, rank and type
-classification, canonical representatives, substitutions, and exact zero
-counts.
+classification (by matrix rank and diagonalisation over odd q, by
+symplectic reduction over even q), canonical representatives,
+substitutions, and exact zero counts.
 
 A form is stored as its upper-triangle coefficient table c[i][j], i <= j,
 row-major. For even q that table is the unique representation
@@ -73,26 +74,6 @@ def _row_reduce(field, rows):
         if r == n_rows:
             break
     return pivots
-
-
-def _null_space(field, matrix):
-    """Basis of the right null space, one vector per free column, ascending."""
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    pivots = _row_reduce(field, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * n_cols
-        vec[free] = 1
-        for k, pc in enumerate(pivots):
-            vec[pc] = field.neg(rows[k][free])
-        basis.append(tuple(vec))
-    return basis
 
 
 def _matrix_rank(field, matrix):
@@ -190,33 +171,9 @@ class QuadraticForm:
                     acc = add(acc, t)
         return acc
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def symmetric_matrix(self):
         """Full m x m coefficient matrix (mirrored upper triangle)."""
         return [[self.coeff(i, j) for j in range(self.m)] for i in range(self.m)]
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    field: FiniteField
-    m: int
-    gram: tuple[tuple[int, ...], ...]
-
-    def apply(self, x, y) -> int:
-        if len(x) != self.m or len(y) != self.m:
-            raise DimensionMismatch("vector length differs from the form dimension")
-        fld = self.field
-        acc = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc = fld.add(acc, fld.mul(xi, fld.mul(row[j], yj)))
-        return acc
 
 
 # the text label of each type tag, in census and CLI output
@@ -275,53 +232,6 @@ def validate_rank_type(q: int, m: int, rank: int, type_tag) -> None:
         raise InconsistentRankType(
             f"rank {rank} over GF({q}) takes type {allowed}, got {type_tag!r}"
         )
-
-
-# -- structure maps -------------------------------------------------------------
-
-def bilinear_of(form: QuadraticForm) -> BilinearForm:
-    """The symmetric bilinear form B(x, y) = Q(x+y) - Q(x) - Q(y)."""
-    fld = form.field
-    m = form.m
-    if fld.p == 2:
-        gram = [[form.coeff(i, j) if i != j else 0 for j in range(m)] for i in range(m)]
-    else:
-        gram = [[fld.add(form.coeff(i, j), form.coeff(i, j)) for j in range(m)] for i in range(m)]
-    return BilinearForm(fld, m, tuple(tuple(r) for r in gram))
-
-
-def radical_bilinear(bilinear: BilinearForm):
-    """Basis of {y : B(x, y) = 0 for all x}."""
-    return _null_space(bilinear.field, bilinear.gram)
-
-
-def radical_form(form: QuadraticForm):
-    """Basis of the zero set of Q inside the bilinear radical.
-
-    For odd q the two radicals coincide. For even q, Q restricted to the
-    bilinear radical is additive and semilinear, so its zero set is the
-    kernel of the linearised functional t -> sum_i sqrt(Q(u_i)) t_i.
-    """
-    fld = form.field
-    basis = radical_bilinear(bilinear_of(form))
-    if fld.p != 2:
-        return basis
-    weights = [fld.sqrt(form.evaluate(u)) for u in basis]
-    piv = next((k for k, w in enumerate(weights) if w), None)
-    if piv is None:
-        return basis
-    inv = fld.inv(weights[piv])
-    out = []
-    for k, u in enumerate(basis):
-        if k == piv:
-            continue
-        f = fld.mul(weights[k], inv)
-        out.append(tuple(fld.sub(a, fld.mul(f, b)) for a, b in zip(u, basis[piv])))
-    return out
-
-
-def rank_of(form: QuadraticForm) -> int:
-    return form.m - len(radical_form(form))
 
 
 # -- exact zero counts -----------------------------------------------------------
@@ -579,8 +489,10 @@ def _symplectic_reduction(form: QuadraticForm) -> tuple[int, int]:
 def classify(form: QuadraticForm) -> RankType:
     """Rank and type of a form.
 
-    Odd q: the rank is the codimension of the radical and the type is
-    read from a congruence diagonalisation. Even q: one symplectic
+    Odd q: the rank is the rank of the coefficient matrix C (the polar
+    Gram matrix is 2C, and 2 is a unit), and the type is read from a
+    congruence diagonalisation, whose length must equal that rank (a
+    second, independent elimination). Even q: one symplectic
     reduction gives the rank and the Arf invariant, and an even rank has
     type +1 exactly when the Arf invariant has absolute trace 0 (Lidl and
     Niederreiter, Finite Fields, ch. 6). Both cost O(m^3) field
@@ -592,12 +504,12 @@ def classify(form: QuadraticForm) -> RankType:
         if r % 2:
             return RankType(r, None)
         return RankType(r, 1 if fld.trace(arf) == 0 else -1)
-    r = rank_of(form)
+    r = _matrix_rank(fld, form.symmetric_matrix())
     if r == 0:
         return RankType(0, 1)
     diag, _ = diagonalize(form)
     if len(diag) != r:
-        raise InternalInconsistency("diagonal length disagrees with the radical rank")
+        raise InternalInconsistency("diagonal length disagrees with the matrix rank")
     return RankType(r, type_from_diagonal(fld, diag))
 
 

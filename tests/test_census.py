@@ -159,7 +159,7 @@ def test_equality_ignores_split():
     assert isinstance(a, CensusTable) and a.entries == b.entries
 
 
-@pytest.mark.parametrize("q,m", CENSUS_GRID + ((4, 3), (5, 3), (8, 2), (16, 2)))
+@pytest.mark.parametrize("q,m", CENSUS_GRID + ((4, 3), (5, 3), (7, 2), (8, 2), (9, 2), (16, 2)))
 def test_classify_agrees_with_batched_invariants(q, m):
     # the census oracle reads rank and type from point counts, never through
     # classify; here those invariants check classify on every form, each

@@ -2,13 +2,21 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from qfrm.cli import MAX_OUTPUT_BITS, main, parse_form_text
+import qfrm
+from qfrm import forms
+from qfrm.cli import MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import rm2_distribution
+from qfrm.field import MAX_ORDER
+from qfrm.forms import triangle_size
 
 GOLD_HRM_3_4 = "1 + 1560*Z^36 + 21060*Z^48 + 18800*Z^54 + 16848*Z^60 + 780*Z^72"
 
@@ -96,6 +104,69 @@ def test_classify_parse_error(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "classify", "--q", "2", "--m", "2", "--coeffs", "garbage")
     assert code == 2
+
+
+# the child caps its own address space at 1.5 GB before it imports qfrm
+CAPPED_QFRM = (
+    "import resource, runpy; "
+    "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)); "
+    "runpy.run_module('qfrm', run_name='__main__')"
+)
+
+
+def run_capped(*argv):
+    """Run qfrm in a memory-capped child process; returns the finished
+    process and its wall time."""
+    src = str(Path(qfrm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_QFRM, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_classify_refuses_huge_m_before_building_the_form():
+    # the m(m+1)/2 coefficient table of m = 10^8 would not fit in 1.5 GB
+    proc, seconds = run_capped("classify", "--q", "2", "--m", "100000000", "--coeffs", "c[1][2]=1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: a form in 100000000 variables has 5000000050000000 coefficients, "
+        f"over the cap of {MAX_FORM_COEFFS}\n"
+    )
+    assert seconds < 5.0
+
+
+def test_classify_refuses_huge_m_from_a_file(capsys, tmp_path):
+    path = tmp_path / "form.txt"
+    path.write_text("q=3 m=1024; c[1][2]=1\n")
+    code, out, err = run(capsys, "classify", "--file", str(path))
+    assert code == 2 and out == "" and f"over the cap of {MAX_FORM_COEFFS}" in err
+
+
+def test_classify_sparse_form_near_the_coefficient_cap_answers(capsys):
+    code, out, _ = run(capsys, "classify", "--q", "2", "--m", "1000", "--coeffs", "c[1][2]=1")
+    assert code == 0
+    assert out.splitlines()[:2] == ["rank=2", "type=plus"]
+    assert out.splitlines()[2] == f"zeros={2 ** 999 + 2 ** 998}"
+
+
+def test_classify_coefficient_cap_keeps_zero_counts_under_the_output_cap():
+    # the largest zero count classify prints is q^m, for the zero form; the
+    # coefficient cap alone keeps it inside MAX_OUTPUT_BITS for every field
+    m = max(m for m in range(2048) if triangle_size(m) <= MAX_FORM_COEFFS)
+    assert m * math.log2(MAX_ORDER) <= MAX_OUTPUT_BITS
+
+
+def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
+    # the matrix rank and the diagonalisation are two eliminations; a
+    # diagonal one coefficient short must be refused, not classified
+    real = forms.diagonalize
+    monkeypatch.setattr(forms, "diagonalize", lambda Q: (real(Q)[0][1:], real(Q)[1]))
+    code, out, err = run(capsys, "classify", "--q", "3", "--m", "2", "--coeffs", "c[1][1]=1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "diagonal" in err
 
 
 def test_count_full_table(capsys):
@@ -307,11 +378,26 @@ def test_verify_spectra_refuses_fields_past_the_table_limit(capsys):
     assert "q <= 1024" in err
 
 
+def test_verify_huge_m_range_exits_at_once():
+    # the range is walked lazily and stops at the first pair over the output
+    # cap, m = 360 for q = 2: the same refusal as the short range 0-400
+    proc, seconds = run_capped("verify", "--scope", "census", "--q", "2", "--m", "0-100000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: output would hold numbers of about 65703 bits (2^65703), "
+        f"over the cap of {MAX_OUTPUT_BITS} bits\n"
+    )
+    assert seconds < 5.0
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--scope", "census", "--q", "2-x", "--m", "2")
     assert code == 2
     code, _, err = run(capsys, "verify", "--scope", "census", "--q", "2")
     assert code == 2
+    # every q is checked to be a prime power before any (q, m) size
+    code, _, err = run(capsys, "verify", "--scope", "census", "--q", "2,6", "--m", "0-400")
+    assert code == 2 and "6 is not a prime power" in err
 
 
 def test_describe_field(capsys):
@@ -366,6 +452,7 @@ def test_dist_renders_frequencies_past_int_digit_cap(capsys, fmt):
     (["dist", "--family", "hrm2", "--q", "2", "--m", "3000"], 4501500),
     (["dist", "--family", "rm2", "--q", "3", "--m", "400"], 127750),
     (["spectrum", "--q", "2", "--m", "65536", "--rank", "0"], 65537),
+    (["verify", "--scope", "census", "--q", "2", "--m", "0-400"], 65703),
 ])
 def test_output_size_cap_exits_at_once(capsys, argv, bits):
     start = time.perf_counter()

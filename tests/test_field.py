@@ -156,14 +156,6 @@ def test_smallest_trace_one(p, e, expected):
         assert oracle == expected
 
 
-def test_sqrt_even_characteristic():
-    f = field_new(2, 3)
-    for a in range(f.q):
-        assert f.mul(f.sqrt(a), f.sqrt(a)) == a
-    with pytest.raises(OddCharacteristic):
-        field_new(3).sqrt(1)
-
-
 def test_error_paths():
     with pytest.raises(NonPrime):
         FiniteField(4, 1)

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfrm import forms as forms_module
+from qfrm.census import _rank_and_type
 from qfrm.errors import (
     BudgetExceeded,
     DimensionMismatch,
     EvenCharacteristic,
     FieldTooLarge,
     InconsistentRankType,
+    InternalInconsistency,
     SingularSubstitution,
     ZeroCoefficient,
 )
@@ -25,13 +28,9 @@ from qfrm.forms import (
     Substitution,
     admissible_tags,
     affine_shift_counts,
-    bilinear_of,
     canonical_form,
     classify,
     diagonalize,
-    radical_bilinear,
-    radical_form,
-    rank_of,
     substitute,
     triangle_pairs,
     triangle_size,
@@ -64,6 +63,19 @@ def random_form(rng, field, m):
     return QuadraticForm(
         field, m, tuple(rng.randrange(field.q) for _ in range(triangle_size(m)))
     )
+
+
+def polar(Q, x, y):
+    """B(x, y) = Q(x + y) - Q(x) - Q(y) from the coefficient table: the Gram
+    matrix is 2C over odd q, and C off its diagonal over even q."""
+    fld = Q.field
+    acc = 0
+    for i in range(Q.m):
+        for j in range(Q.m):
+            c = Q.coeff(i, j)
+            g = fld.add(c, c) if fld.p != 2 else c * (i != j)
+            acc = fld.add(acc, fld.mul(g, fld.mul(x[i], y[j])))
+    return acc
 
 
 def random_substitution(rng, field, m):
@@ -113,13 +125,7 @@ def test_prime_field_evaluation_against_integer_arithmetic():
                 assert q.evaluate(x) == expected % p
 
 
-# -- bilinear form and radicals ---------------------------------------------------
-
-def test_bilinear_examples():
-    assert bilinear_of(QuadraticForm.zero(F3, 2)).gram == ((0, 0), (0, 0))
-    assert bilinear_of(form(F2, 2, {(0, 1): 1})).gram == ((0, 1), (1, 0))
-    assert bilinear_of(form(F3, 2, {(0, 0): 1})).gram == ((2, 0), (0, 0))
-
+# -- polar form and radicals -------------------------------------------------------
 
 @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (3, 3), (2, 4)])
 def test_bilinear_identity_and_scaling_exhaustive(q, m):
@@ -129,7 +135,6 @@ def test_bilinear_identity_and_scaling_exhaustive(q, m):
     forms += [canonical_form(fld, m, r, admissible_tags(q, r)[0]) for r in range(m + 1)]
     points = list(all_vectors(fld, m))
     for Q in forms:
-        B = bilinear_of(Q)
         for x in points:
             qx = Q.evaluate(x)
             for lam in range(fld.q):
@@ -138,37 +143,32 @@ def test_bilinear_identity_and_scaling_exhaustive(q, m):
             for y in points:
                 s = tuple(fld.add(a, b) for a, b in zip(x, y))
                 assert Q.evaluate(s) == fld.add(
-                    fld.add(qx, Q.evaluate(y)), B.apply(x, y)
+                    fld.add(qx, Q.evaluate(y)), polar(Q, x, y)
                 )
 
 
-def test_radical_examples():
-    assert len(radical_bilinear(bilinear_of(QuadraticForm.zero(F3, 2)))) == 2
-    assert radical_bilinear(bilinear_of(form(F2, 2, {(0, 1): 1}))) == []
-    assert radical_bilinear(bilinear_of(form(F3, 2, {(0, 0): 1}))) == [(0, 1)]
-
-    assert radical_form(QuadraticForm.zero(F5, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert radical_form(form(F2, 3, {(0, 1): 1})) == [(0, 0, 1)]
-    assert radical_form(form(F2, 3, {(0, 1): 1, (2, 2): 1})) == []
-
-
 def test_rank_examples():
-    assert rank_of(QuadraticForm.zero(F2, 3)) == 0
-    assert rank_of(canonical_form(F3, 4, 3, 1)) == 3
-    assert rank_of(form(F2, 3, {(0, 1): 1, (2, 2): 1})) == 3
+    assert classify(QuadraticForm.zero(F2, 3)).rank == 0
+    assert classify(canonical_form(F3, 4, 3, 1)).rank == 3
+    assert classify(form(F2, 3, {(0, 1): 1, (2, 2): 1})).rank == 3
+    assert classify(form(F5, 3, {(0, 0): 1, (0, 1): 2, (1, 1): 4})).rank == 1
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_odd_q_radicals_coincide(q):
+    # over odd q, Q vanishes on the radical of its polar form, so that
+    # radical alone has size q^(m - rank)
     fld = SMALL_FIELDS[q]
     rng = random.Random(q)
     for _ in range(25):
         m = rng.randint(1, 4)
+        if fld.q ** m > 729:
+            continue
         Q = random_form(rng, fld, m)
-        rb = radical_bilinear(bilinear_of(Q))
-        rf = radical_form(Q)
-        assert rb == rf
-        assert all(Q.evaluate(u) == 0 for u in rb)
+        units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+        radical = [y for y in all_vectors(fld, m) if all(polar(Q, e, y) == 0 for e in units)]
+        assert all(Q.evaluate(y) == 0 for y in radical)
+        assert len(radical) == q ** (m - classify(Q).rank)
 
 
 # -- zero counts -------------------------------------------------------------------
@@ -225,11 +225,12 @@ def test_affine_shift_counts_match_direct_count(q, m):
 )
 def test_formula_matches_enumeration_on_every_form(q, m):
     fld = SMALL_FIELDS[q]
-    for coeffs in itertools.product(range(q), repeat=triangle_size(m)):
-        Q = QuadraticForm(fld, m, coeffs)
+    forms = [QuadraticForm(fld, m, c) for c in itertools.product(range(q), repeat=triangle_size(m))]
+    # the census oracle's rank comes from point counts, apart from classify
+    ranks, _ = _rank_and_type(fld, m, np.stack([values_on_domain(Q) for Q in forms], axis=1))
+    for Q, rank in zip(forms, ranks.tolist()):
         rt = classify(Q)
-        # the radical-based rank is independent of the symplectic reduction
-        assert rt.rank == rank_of(Q)
+        assert rt.rank == rank
         assert zero_count_exhaustive(Q) == zero_count_formula(rt.rank, rt.type_tag, q, m)
 
 
@@ -284,7 +285,8 @@ def test_diagonalize_identity_pointwise(q):
             continue
         Q = random_form(rng, fld, m)
         diag, sub = diagonalize(Q)
-        assert len(diag) == rank_of(Q)
+        ranks, _ = _rank_and_type(fld, m, values_on_domain(Q)[:, None])
+        assert len(diag) == ranks[0]  # the census oracle's rank, from point counts
         assert all(a != 0 for a in diag)
         for x in all_vectors(fld, m):
             assert Q.evaluate(sub.apply(x)) == sum_of_squares(fld, diag, x)
@@ -329,6 +331,16 @@ def test_classify_examples():
     assert classify(form(F3, 2, {(0, 1): F3.inv(2)})) == RankType(2, 1)
 
 
+def test_classify_refuses_a_short_diagonal(monkeypatch):
+    # the matrix rank and the diagonalisation are two eliminations, and
+    # classify compares their results
+    real = forms_module.diagonalize
+    monkeypatch.setattr(forms_module, "diagonalize", lambda Q: (real(Q)[0][1:], real(Q)[1]))
+    with pytest.raises(InternalInconsistency):
+        classify(canonical_form(F3, 3, 2, -1))
+    assert classify(canonical_form(F2, 3, 2, -1)) == RankType(2, -1)  # even q: no diagonal
+
+
 def test_canonical_form_examples():
     Q = canonical_form(F2, 3, 3, None)
     assert {(i, j): Q.coeff(i, j) for i, j in triangle_pairs(3) if Q.coeff(i, j)} == {
@@ -337,7 +349,7 @@ def test_canonical_form_examples():
     }
     Q = canonical_form(F3, 2, 2, -1)
     assert Q.coeffs == (1, 0, 1)  # x1^2 - 2 x2^2 = x1^2 + x2^2 over GF(3)
-    assert canonical_form(F5, 3, 0, 1).is_zero()
+    assert not any(canonical_form(F5, 3, 0, 1).coeffs)
 
 
 def test_canonical_form_validation():
@@ -436,9 +448,7 @@ def test_bilinear_identity_property(data):
     Q, x, y = data
     fld = Q.field
     s = tuple(fld.add(a, b) for a, b in zip(x, y))
-    assert Q.evaluate(s) == fld.add(
-        fld.add(Q.evaluate(x), Q.evaluate(y)), bilinear_of(Q).apply(x, y)
-    )
+    assert Q.evaluate(s) == fld.add(fld.add(Q.evaluate(x), Q.evaluate(y)), polar(Q, x, y))
 
 
 @given(form_and_vectors(), st.integers(0, 8))
