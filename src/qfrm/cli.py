@@ -14,10 +14,10 @@ Coefficient text grammar (classify input and canonical output)::
     form  := "q=" INT " m=" INT ";" (WS coeff)*
     coeff := "c[" i "][" j "]=" INT
 
-with 1 <= i <= j <= m and values given as element indices in [0, q).
-Unlisted coefficients are zero; the zero form is rendered as ``0``. For
-odd q the table is symmetric, so only i <= j entries are accepted, and a
-cross coefficient c contributes 2c * x_i * x_j to the polynomial.
+with 1 <= i <= j <= m, each c[i][j] at most once, and values given as element
+indices in [0, q). Unlisted coefficients are zero; the zero form is rendered as
+``0``. For odd q the table is symmetric, so only i <= j entries are accepted,
+and a cross coefficient c contributes 2c * x_i * x_j to the polynomial.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
             raise QfrmError(f"coefficient index c[{i}][{j}] outside 1 <= i <= j <= {m}")
         if not 0 <= value < q:
             raise QfrmError(f"coefficient value {value} outside [0, {q})")
+        if (i - 1, j - 1) in entries:
+            raise QfrmError(f"coefficient c[{i}][{j}] given twice")
         entries[(i - 1, j - 1)] = value
     if seen_len != len(re.sub(r"\s+", "", body)):
         raise QfrmError("unparsed text in coefficient list")
@@ -122,11 +124,8 @@ def parse_form_text(text: str) -> QuadraticForm:
 
 
 def format_coeffs(form: QuadraticForm) -> str:
-    parts = [
-        f"c[{i + 1}][{j + 1}]={form.coeff(i, j)}"
-        for i, j in triangle_pairs(form.m)
-        if form.coeff(i, j)
-    ]
+    pairs = zip(triangle_pairs(form.m), form.coeffs)
+    parts = [f"c[{i + 1}][{j + 1}]={c}" for (i, j), c in pairs if c]
     return " ".join(parts) if parts else "0"
 
 
@@ -384,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=("census", "spectra", "codes", "all"), required=True)
     p.add_argument("--q", help="value, comma list, or a-b range (with --m)")
     p.add_argument("--m", help="value, comma list, or a-b range (with --q)")
-    p.add_argument("--max-points", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--max-points", type=int, default=DEFAULT_ORACLE_BUDGET,
+                   help="coset-spectrum oracle budget, in transform steps per form (default 2^24)")
     p.add_argument("--max-codewords", type=int, default=DEFAULT_SYMBOL_BUDGET)
     _add_common(p, fmt=False)
     p.set_defaults(func=_cmd_verify)

@@ -138,18 +138,8 @@ class QuadraticForm:
         for (i, j), v in dict(entries).items():
             if not 0 <= i <= j < m:
                 raise DimensionMismatch(f"bad coefficient index ({i}, {j})")
-            coeffs[cls._index(m, i, j)] = v
+            coeffs[i * m - i * (i + 1) // 2 + j] = v  # row-major, i <= j
         return cls(field, m, tuple(coeffs))
-
-    @staticmethod
-    def _index(m, i, j):
-        return i * m - i * (i + 1) // 2 + j
-
-    def coeff(self, i, j) -> int:
-        """c_ij; indices are mirrored, matching the symmetric odd-q table."""
-        if i > j:
-            i, j = j, i
-        return self.coeffs[self._index(self.m, i, j)]
 
     def evaluate(self, x) -> int:
         if len(x) != self.m:
@@ -172,8 +162,12 @@ class QuadraticForm:
         return acc
 
     def symmetric_matrix(self):
-        """Full m x m coefficient matrix (mirrored upper triangle)."""
-        return [[self.coeff(i, j) for j in range(self.m)] for i in range(self.m)]
+        """Full m x m coefficient matrix (mirrored upper triangle), as new lists."""
+        rows, start = [], 0
+        for i in range(self.m):
+            rows.append([row[i] for row in rows] + list(self.coeffs[start:start + self.m - i]))
+            start += self.m - i
+        return rows
 
 
 # the text label of each type tag, in census and CLI output
@@ -359,6 +353,13 @@ def affine_shift_counts(field: FiniteField, m: int, values: np.ndarray) -> np.nd
     return counts.reshape(q, n, forms).transpose(2, 1, 0)
 
 
+def affine_shift_steps(q: int, m: int) -> int:
+    """Steps ``affine_shift_counts`` takes per form: q comparisons at m = 0,
+    else q^(m+1) bincount keys for x_0 and q^(m+2) gathered counts for each
+    later coordinate."""
+    return q if m == 0 else q ** (m + 1) + (m - 1) * q ** (m + 2)
+
+
 # -- diagonalisation and type (odd q) ---------------------------------------------
 
 def _apply_transvection(field, C, A, i, j, t):
@@ -396,7 +397,7 @@ def diagonalize(form: QuadraticForm):
     if fld.p == 2:
         raise EvenCharacteristic("diagonalisation requires odd characteristic")
     m = form.m
-    C = [row[:] for row in form.symmetric_matrix()]
+    C = form.symmetric_matrix()
     A = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     k = 0
     while k < m:
@@ -457,8 +458,10 @@ def _symplectic_reduction(form: QuadraticForm) -> tuple[int, int]:
     fld = form.field
     mul = fld.mul
     m = form.m
-    G = [[form.coeff(i, j) if i != j else 0 for j in range(m)] for i in range(m)]
-    Q = [form.coeff(i, i) for i in range(m)]
+    G = form.symmetric_matrix()
+    Q = [G[i][i] for i in range(m)]
+    for i in range(m):
+        G[i][i] = 0
     live = list(range(m))
     pairs = arf = 0
     radical_nonzero = False
@@ -555,33 +558,23 @@ def canonical_form(field: FiniteField, m: int, rank: int, type_tag) -> Quadratic
 
 
 def substitute(form: QuadraticForm, sub: Substitution) -> QuadraticForm:
-    """The form Q' with Q'(x) = Q(A x), in the unique representation."""
+    """The form Q' with Q'(x) = Q(A x), in the unique representation: Q(x) =
+    x^T U x (U symmetric over odd q, upper triangular over even q), so Q' is
+    read off M = A^T U A, folding M_ji onto M_ij over even q."""
     fld = form.field
     m = form.m
     if sub.field != fld or sub.m != m:
         raise DimensionMismatch("substitution does not match the form")
     A = sub.matrix
-    if fld.p != 2:
-        C = form.symmetric_matrix()
-        At = [[A[j][i] for j in range(m)] for i in range(m)]
-        new = _mat_mul(fld, At, _mat_mul(fld, C, A))
-        coeffs = tuple(new[i][j] for i, j in triangle_pairs(m))
-        return QuadraticForm(fld, m, coeffs)
-    out = [0] * triangle_size(m)
-    for k, l in triangle_pairs(m):
-        c = form.coeff(k, l)
-        if not c:
-            continue
-        row_k, row_l = A[k], A[l]
+    even = fld.p == 2
+    U = form.symmetric_matrix()
+    if even:
         for i in range(m):
-            a = row_k[i]
-            if not a:
-                continue
-            for j in range(m):
-                b = row_l[j]
-                if not b:
-                    continue
-                lo, hi = (i, j) if i <= j else (j, i)
-                idx = QuadraticForm._index(m, lo, hi)
-                out[idx] = fld.add(out[idx], fld.mul(c, fld.mul(a, b)))
-    return QuadraticForm(fld, m, tuple(out))
+            U[i][:i] = [0] * i
+    At = [[A[j][i] for j in range(m)] for i in range(m)]
+    M = _mat_mul(fld, At, _mat_mul(fld, U, A))
+    coeffs = tuple(
+        fld.add(M[i][j], M[j][i]) if even and i != j else M[i][j]
+        for i, j in triangle_pairs(m)
+    )
+    return QuadraticForm(fld, m, coeffs)

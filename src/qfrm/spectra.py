@@ -11,7 +11,8 @@ q <= 1024. The last form's table is kept, so the calls for each class
 of one form and ``merged_oracle`` read one transform. A class multiset
 covers the whole class: the single constant 0 for ``zero``, the (q-1)/2
 square or nonsquare constants, or all q-1 nonzero constants for
-``nonzero``, so oracle and formula agree entrywise.
+``nonzero``, so oracle and formula agree entrywise. The oracle's budget
+counts ``forms.affine_shift_steps(q, m)``, the transform steps per form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .errors import (
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
 from .field import field_from_order  # noqa: F401
-from .forms import QuadraticForm, affine_shift_counts, validate_rank_type, values_on_domain
+from .forms import (
+    QuadraticForm, affine_shift_counts, affine_shift_steps, validate_rank_type, values_on_domain
+)
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
 
@@ -257,30 +260,27 @@ def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultis
 
 # -- brute-force oracle ------------------------------------------------------------
 
-def oracle_constants(field, m: int, c_class: str, max_evals: int):
-    """The constants of the class, once the oracle's budget is known to
-    hold: it is charged q^(2m) evaluations per constant, whatever the
-    enumeration costs, so callers can test a case before building its form."""
+def admit_oracle(q: int, m: int, max_evals: int) -> None:
+    """Raise BudgetExceeded unless one transform on GF(q)^m fits the budget."""
+    steps = affine_shift_steps(q, m)
+    if steps > max_evals:
+        raise BudgetExceeded(
+            f"{count_text(steps)} transform steps per form exceed {count_text(max_evals)}"
+        )
+
+
+def class_constants(field, c_class: str) -> list[int]:
+    """The constants of the class, or of every class for ``"all"``."""
     q = field.q
-    if c_class == CLASS_ZERO:
-        cs = [0]
-    elif c_class == CLASS_NONZERO:
-        cs = list(range(1, q))
-    elif c_class == "all":
-        cs = list(range(q))
-    elif c_class in (CLASS_SQUARE, CLASS_NONSQUARE):
+    if c_class in (CLASS_SQUARE, CLASS_NONSQUARE):
         if q % 2 == 0:
             raise InconsistentQuery("square classes need odd q")
         want = 1 if c_class == CLASS_SQUARE else -1
-        cs = [c for c in range(1, q) if field.quadratic_character(c) == want]
-    else:
+        return [c for c in range(1, q) if field.quadratic_character(c) == want]
+    spans = {CLASS_ZERO: range(1), CLASS_NONZERO: range(1, q), "all": range(q)}
+    if c_class not in spans:
         raise InconsistentQuery(f"unknown constant class {c_class!r}")
-    n = q ** m
-    if n * n * max(len(cs), 1) > max_evals:
-        raise BudgetExceeded(
-            f"{count_text(n * n * len(cs))} evaluations exceed {count_text(max_evals)}"
-        )
-    return cs
+    return list(spans[c_class])
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,11 +299,13 @@ def spectrum_oracle(
 
     Accepts the formula classes plus ``"all"`` for the merged tally over
     every constant. N(Q + L + c) is H[L, -c] of ``affine_shift_counts``,
-    an exact count over the points; no closed forms involved.
+    an exact count over the points; no closed forms involved. Each call
+    is charged one transform before the form is evaluated.
     """
     fld = form.field
+    admit_oracle(fld.q, form.m, max_evals)
     n = fld.q ** form.m
-    cs = oracle_constants(fld, form.m, c_class, max_evals)
+    cs = class_constants(fld, c_class)
     counts = _shift_counts(form)[:, [fld.neg(c) for c in cs]]
     tally = np.bincount(counts.ravel(), minlength=n + 1)
     return SpectrumMultiset(

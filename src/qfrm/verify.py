@@ -27,9 +27,9 @@ from .spectra import (
     DEFAULT_ORACLE_BUDGET,
     CosetQuery,
     SpectrumMultiset,
+    admit_oracle,
     constant_classes,
     merged_oracle,
-    oracle_constants,
     spectrum_formula,
     spectrum_merged,
     spectrum_oracle,
@@ -74,34 +74,35 @@ def check_census(q, m, max_evals=DEFAULT_EVAL_BUDGET):
 
 
 def check_spectra(q, m, max_evals=DEFAULT_ORACLE_BUDGET):
-    results = []
+    # every form of (q, m) costs one transform: the pair is admitted whole,
+    # or refused whole before any form is built
     fld = field_from_order(q)
-    for rank in range(0, m + 1):
-        classes = constant_classes(q, rank)
-        for tag in admissible_tags(q, rank):
-            form = None  # built only once a class fits the budget
-            parts = []
-            for c_class in classes + ("all",):
-                label = "merged" if c_class == "all" else c_class
-                name = f"spectra q={q} m={m} r={rank} t={tag} class={label}"
-                try:
-                    oracle_constants(fld, m, c_class, max_evals)
-                except BudgetExceeded as exc:
-                    results.append(CheckResult(name, True, str(exc), skipped=True))
-                    continue
-                if form is None:
-                    form = canonical_form(fld, m, rank, tag)
-                if c_class == "all":
-                    merged = spectrum_merged(q, m, rank, tag)
-                    ok = merged.entries == merged_oracle(form, max_evals=max_evals).entries
-                    if len(parts) == len(classes):
-                        ok = ok and SpectrumMultiset.merge(parts).entries == merged.entries
-                    results.append(CheckResult(name, ok))
-                    continue
-                oracle = spectrum_oracle(form, c_class, max_evals=max_evals)
-                parts.append(oracle)
-                formula = spectrum_formula(CosetQuery(q, m, rank, tag, c_class))
-                results.append(CheckResult(name, formula.entries == oracle.entries))
+    cases = [(rank, tag) for rank in range(m + 1) for tag in admissible_tags(q, rank)]
+
+    def name(rank, tag, label):
+        return f"spectra q={q} m={m} r={rank} t={tag} class={label}"
+
+    try:
+        admit_oracle(q, m, max_evals)
+    except BudgetExceeded as exc:
+        return [
+            CheckResult(name(rank, tag, label), True, str(exc), skipped=True)
+            for rank, tag in cases
+            for label in constant_classes(q, rank) + ("merged",)
+        ]
+    results = []
+    for rank, tag in cases:
+        form = canonical_form(fld, m, rank, tag)
+        parts = []
+        for c_class in constant_classes(q, rank):
+            oracle = spectrum_oracle(form, c_class, max_evals=max_evals)
+            parts.append(oracle)
+            formula = spectrum_formula(CosetQuery(q, m, rank, tag, c_class))
+            results.append(CheckResult(name(rank, tag, c_class), formula.entries == oracle.entries))
+        merged = spectrum_merged(q, m, rank, tag)
+        ok = merged.entries == merged_oracle(form, max_evals=max_evals).entries
+        ok = ok and SpectrumMultiset.merge(parts).entries == merged.entries
+        results.append(CheckResult(name(rank, tag, "merged"), ok))
     return results
 
 

@@ -9,9 +9,8 @@ import pytest
 from qfrm.census import census_exhaustive
 from qfrm.errors import BudgetExceeded, count_text
 from qfrm.field import field_from_order
-from qfrm.forms import QuadraticForm, zero_count_exhaustive
-from qfrm.spectra import oracle_constants
-from qfrm.verify import run_verification
+from qfrm.forms import QuadraticForm, affine_shift_steps, zero_count_exhaustive
+from qfrm.verify import check_spectra, run_verification
 
 DEFAULT_CAP = 4300
 
@@ -52,9 +51,15 @@ def test_codes_budget_past_the_cap():
 
 
 def test_spectra_budget_past_the_cap():
-    # q^(2m) = 2^14400 evaluations: 4,335 digits
-    with pytest.raises(BudgetExceeded, match=r"^\d{4335} evaluations exceed 16777216$"):
-        oracle_constants(field_from_order(2), 7200, "zero", 1 << 24)
+    # 4^7201 + 7199 * 4^7202 transform steps per form: 4,340 digits (over
+    # GF(2) the same m needs only 2,172)
+    steps = count_text(affine_shift_steps(4, 7200))
+    assert len(steps) == 4340
+    results = check_spectra(4, 7200)
+    assert {(r.status, r.detail) for r in results} == {
+        ("SKIP", f"{steps} transform steps per form exceed 16777216")
+    }
+    assert len(results) == 3 * (1 + 3600 + 2 * 3600)
 
 
 def test_zero_count_budget_past_the_cap():

@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import qfrm
-from qfrm import forms
+from qfrm import forms, verify
 from qfrm.cli import MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import rm2_distribution
 from qfrm.field import MAX_ORDER
-from qfrm.forms import triangle_size
+from qfrm.forms import affine_shift_steps, triangle_size
 
 GOLD_HRM_3_4 = "1 + 1560*Z^36 + 21060*Z^48 + 18800*Z^54 + 16848*Z^60 + 780*Z^72"
 
@@ -104,6 +104,15 @@ def test_classify_parse_error(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "classify", "--q", "2", "--m", "2", "--coeffs", "garbage")
     assert code == 2
+
+
+def test_classify_refuses_a_coefficient_given_twice(capsys, tmp_path):
+    code, out, err = run(capsys, "classify", "--q", "9", "--m", "2", "--coeffs", "c[1][1]=3 c[1][1]=2")
+    assert (code, out, err) == (2, "", "error: coefficient c[1][1] given twice\n")
+    path = tmp_path / "form.txt"
+    path.write_text("q=3 m=3; c[1][2]=1 c[2][3]=1 c[1][2]=1\n")
+    code, out, err = run(capsys, "classify", "--file", str(path))
+    assert (code, out, err) == (2, "", "error: coefficient c[1][2] given twice\n")
 
 
 # the child caps its own address space at 1.5 GB before it imports qfrm
@@ -352,13 +361,42 @@ def test_verify_spectra(capsys):
     assert "failed=0" in out.strip().splitlines()[-1]
 
 
-# sha256 of the stdout of `verify --scope spectra --q 2 --m 359`, recorded
-# while check_spectra still built every form before testing its budget
-VERIFY_SPECTRA_2_359_SHA256 = "12f5c93cfe6aa848778c4e954801a98a47031639ffa5565935b67a30082fd2e7"
+# sha256 of the stdout of `verify --scope spectra --q 2 --m 359`: the 1,617
+# SKIP lines that check_spectra printed when it built every form before
+# testing its budget, each now with the one transform-step detail of the pair
+VERIFY_SPECTRA_2_359_SHA256 = "e32e70155a2dc680e677152464f77dfdc6832e1660aa7c65ad915db92447b2bf"
 
 
-def test_verify_spectra_past_the_oracle_budget_builds_no_form(capsys):
-    # all 1,617 cases are over budget: each is skipped before its form is built
+@pytest.mark.parametrize("q, m", [(2, 13), (3, 8), (4, 6), (5, 5), (1024, 1)])
+def test_verify_spectra_within_one_transform_budget_runs_whole(capsys, q, m):
+    # each form costs one transform of at most 2^24 steps, so every class runs
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", str(q), "--m", str(m))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[:-1] and all(line.startswith("PASS spectra ") for line in lines[:-1])
+    assert lines[-1] == f"passed={len(lines) - 1} failed=0 skipped=0"
+
+
+@pytest.mark.parametrize("q, m", [(2, 18), (7, 6)])
+def test_verify_spectra_past_one_transform_budget_skips_whole(capsys, monkeypatch, q, m):
+    monkeypatch.setattr(verify, "canonical_form", None)  # no form may be built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", str(q), "--m", str(m))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.strip().splitlines()
+    detail = f"({affine_shift_steps(q, m)} transform steps per form exceed {1 << 24})"
+    assert lines[:-1] and all(
+        line.startswith("SKIP spectra ") and line.endswith(" " + detail) for line in lines[:-1]
+    )
+    assert lines[-1] == f"passed=0 failed=0 skipped={len(lines) - 1}"
+
+
+def test_verify_spectra_past_the_oracle_budget_builds_no_form(capsys, monkeypatch):
+    # all 1,617 cases share one refusal, made before any form is built
+    monkeypatch.setattr(verify, "canonical_form", None)
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", "2", "--m", "359")
     assert time.perf_counter() - start < 1.0

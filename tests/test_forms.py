@@ -28,6 +28,7 @@ from qfrm.forms import (
     Substitution,
     admissible_tags,
     affine_shift_counts,
+    affine_shift_steps,
     canonical_form,
     classify,
     diagonalize,
@@ -69,10 +70,11 @@ def polar(Q, x, y):
     """B(x, y) = Q(x + y) - Q(x) - Q(y) from the coefficient table: the Gram
     matrix is 2C over odd q, and C off its diagonal over even q."""
     fld = Q.field
+    C = Q.symmetric_matrix()
     acc = 0
     for i in range(Q.m):
         for j in range(Q.m):
-            c = Q.coeff(i, j)
+            c = C[i][j]
             g = fld.add(c, c) if fld.p != 2 else c * (i != j)
             acc = fld.add(acc, fld.mul(g, fld.mul(x[i], y[j])))
     return acc
@@ -118,8 +120,7 @@ def test_prime_field_evaluation_against_integer_arithmetic():
             q = random_form(rng, fld, m)
             for x in all_vectors(fld, m):
                 expected = 0
-                for i, j in triangle_pairs(m):
-                    c = q.coeff(i, j)
+                for (i, j), c in zip(triangle_pairs(m), q.coeffs):
                     weight = 1 if i == j or p == 2 else 2
                     expected += weight * c * x[i] * x[j]
                 assert q.evaluate(x) == expected % p
@@ -216,6 +217,28 @@ def test_affine_shift_counts_match_direct_count(q, m):
         shifted = fld.add_array[dots, qv[None, :]]  # Q(x) + L.x
         direct = (shifted[:, :, None] == np.arange(q)).sum(axis=1)
         assert (counts[f] == direct).all(), (q, m, Q.coeffs)
+
+
+def test_affine_shift_steps_counts_the_kernel_loop():
+    # q comparisons at m = 0; else q^(m+1) bincount keys for x_0 and one
+    # (q, q, q) gather over q^(m-1) counts for each later coordinate
+    assert [affine_shift_steps(q, 0) for q in (2, 1024)] == [2, 1024]
+    assert affine_shift_steps(1024, 1) == 1024 ** 2
+    assert affine_shift_steps(2, 17) == 2 ** 18 + 16 * 2 ** 19 == 8_650_752
+    assert affine_shift_steps(3, 11) == 16_474_671
+    assert affine_shift_steps(2, 18) == 18_350_080
+    assert affine_shift_steps(7, 6) == 29_647_548
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_symmetric_matrix_mirrors_the_coefficient_table(q, m):
+    Q = random_form(random.Random(31 * q + m), SMALL_FIELDS[q], m)
+    matrix = Q.symmetric_matrix()
+    table = dict(zip(triangle_pairs(m), Q.coeffs))
+    assert matrix == [[table[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    matrix[0:1] = []  # a new list each call: the caller may change it
+    assert len(Q.symmetric_matrix()) == m
 
 
 @pytest.mark.parametrize(
@@ -343,7 +366,7 @@ def test_classify_refuses_a_short_diagonal(monkeypatch):
 
 def test_canonical_form_examples():
     Q = canonical_form(F2, 3, 3, None)
-    assert {(i, j): Q.coeff(i, j) for i, j in triangle_pairs(3) if Q.coeff(i, j)} == {
+    assert {ij: c for ij, c in zip(triangle_pairs(3), Q.coeffs) if c} == {
         (0, 1): 1,
         (2, 2): 1,
     }

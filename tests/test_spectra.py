@@ -7,12 +7,13 @@ from collections import Counter
 import pytest
 
 from qfrm import spectra
-from qfrm.errors import InconsistentQuery, UnsupportedForBinary
+from qfrm.errors import BudgetExceeded, InconsistentQuery, UnsupportedForBinary
 from qfrm.field import field_new
 from qfrm.forms import (
     QuadraticForm,
     Substitution,
     admissible_tags,
+    affine_shift_steps,
     canonical_form,
     substitute,
     triangle_size,
@@ -21,6 +22,7 @@ from qfrm.verify import run_verification
 from qfrm.spectra import (
     CosetQuery,
     SpectrumMultiset,
+    class_constants,
     constant_classes,
     coset_weight_multiset,
     merged_oracle,
@@ -80,6 +82,29 @@ def test_query_validation():
         CosetQuery(3, 3, 1, 1, "nonzero")  # odd q odd rank splits by square class
     with pytest.raises(InconsistentQuery):
         CosetQuery(3, 3, 1, 1, "bogus")
+
+
+def test_class_constants():
+    assert class_constants(FIELDS[5], "square") == [1, 4]
+    assert class_constants(FIELDS[5], "nonsquare") == [2, 3]
+    assert class_constants(FIELDS[4], "nonzero") == [1, 2, 3]
+    assert class_constants(FIELDS[4], "all") == [0, 1, 2, 3]
+    with pytest.raises(InconsistentQuery, match="square classes need odd q"):
+        class_constants(FIELDS[4], "square")
+    with pytest.raises(InconsistentQuery, match="unknown constant class"):
+        class_constants(FIELDS[3], "bogus")
+
+
+def test_oracle_is_charged_one_transform_per_call():
+    # every class costs the form's one transform, whatever its size
+    Q = canonical_form(FIELDS[5], 3, 3, 1)
+    steps = affine_shift_steps(5, 3)
+    for c_class in ("zero", "square", "nonsquare", "all"):
+        assert spectrum_oracle(Q, c_class, max_evals=steps).population > 0
+        with pytest.raises(
+            BudgetExceeded, match=f"^{steps} transform steps per form exceed {steps - 1}$"
+        ):
+            spectrum_oracle(Q, c_class, max_evals=steps - 1)
 
 
 def test_oracle_zero_form():
