@@ -101,25 +101,24 @@ def census_formula(q: int, m: int) -> CensusTable:
     """Closed-form census over all admissible (rank, type) classes, in one
     pass over the ranks.
 
-    With P_j = prod_{i=m-2j+1..m} (q^i - 1) / prod_{i=1..j} (q^{2i} - 1),
-    N(2j, tau) = q^{j^2} (q^j + tau) P_j / 2 and
-    N(2j + 1) = q^{j^2+j} (q^{m-2j} - 1) P_j; P_j follows from P_{j-1} by
-    one ratio, so the census costs O(m) big-integer steps.
+    H_j = q^{j^2} prod_{i=m-2j+1..m} (q^i - 1) / prod_{i=1..j} (q^{2i} - 1)
+    gives N(2j, tau) = (H_j q^j + tau H_j) / 2 and N(2j + 1) = H_j q^j (q^{m-2j} - 1);
+    H_{j+1} = H_j q^{2j+1} (q^{m-2j} - 1)(q^{m-2j-1} - 1) / (q^{2j+2} - 1), so the
+    census costs O(m) steps of the big H_j by small running powers of q.
     """
     entries: dict[tuple[int, str], int] = {(0, TYPE_LABELS[1]): 1}
     label = _odd_rank_label(q)
-    p = 1  # P_j
+    h, qj, top = 1, 1, q ** m  # H_j, q^j, q^(m-2j)
     for j in range(m // 2 + 1):
+        hq = h * qj
         if j:
-            head = q ** (j * j) * p
             for tau in (1, -1):
-                entries[(2 * j, TYPE_LABELS[tau])] = _exact_div(head * (q ** j + tau), 2)
+                entries[(2 * j, TYPE_LABELS[tau])] = _exact_div(hq + tau * h, 2)
         if 2 * j + 1 <= m:
-            entries[(2 * j + 1, label)] = q ** (j * j + j) * p * (q ** (m - 2 * j) - 1)
+            entries[(2 * j + 1, label)] = hq * (top - 1)
         if 2 * j + 2 <= m:
-            p = _exact_div(
-                p * (q ** (m - 2 * j) - 1) * (q ** (m - 2 * j - 1) - 1), q ** (2 * j + 2) - 1
-            )
+            h = _exact_div(hq * (qj * q * (top - 1) * (top // q - 1)), (qj * q) ** 2 - 1)
+            qj, top = qj * q, top // (q * q)
     return CensusTable(q, m, entries)
 
 

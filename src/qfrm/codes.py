@@ -11,9 +11,9 @@ every weight from their affine-shift counts (``forms.affine_shift_counts``).
 
 The rm2 balanced-weight row is computed from its explicit expression and
 revalidated as q^k minus all other rows; any mismatch raises instead of
-shipping a wrong table. The projective table is likewise revalidated
-against the homogeneous table one dimension up, whose weights it must
-reproduce after division by q - 1.
+shipping a wrong table. The projective table reads the census one
+dimension up and is revalidated against the homogeneous table built from
+that same census, whose weights it must reproduce after division by q - 1.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from .forms import (
     affine_shift_counts,
     triangle_pairs,
 )
-from .spectra import coset_weight_multiset
+# coset_weight_multiset stays importable here, though the coset assembly reads
+# merged_rows: perfbench/tracing.py wraps it under this module's name
+from .spectra import coset_weight_multiset, merged_rows  # noqa: F401
 
 FAMILIES = ("rm2", "hrm2", "prm2")
 
@@ -153,37 +155,38 @@ def _census(q, m):
 
 def _rm2_binary_entries(m: int) -> dict[int, int]:
     census, odd = _census(2, m)
-    ent: Counter = Counter({0: 1, 2 ** m: 1})
-    ent[2 ** (m - 1)] += 2 * sum(odd.values())
+    half = 1 << (m - 1)
+    ent: Counter = Counter({0: 1, 2 * half: 1})
+    ent[half] += 2 * sum(odd.values())
     for j in range(1, m // 2 + 1):
         both = census[(2 * j, "plus")] + census[(2 * j, "minus")]
-        ent[2 ** (m - 1) + 2 ** (m - j - 1)] += both
-        ent[2 ** (m - 1) - 2 ** (m - j - 1)] += both
+        ent[half + (half >> j)] += both
+        ent[half - (half >> j)] += both
     return dict(ent)
 
 
 def _rm2_general_entries(q: int, m: int, k: int) -> dict[int, int]:
     census, odd = _census(q, m)
     ent: Counter = Counter({0: 1})
-    base = q ** m - q ** (m - 1)
+    n, step, square = q ** m, q ** (m - 1), 1  # step q^(m-j-1), square q^(2j) in the loop
+    base = n - step
+    # balanced row, double entry: explicit expression vs q^k minus the rest
+    explicit = q ** k - q - (q - 1) * q * odd[1]
     for j in range(1, m // 2 + 1):
-        odd_part = (q - 1) * q ** (2 * j + 1) * odd.get(2 * j + 1, 0)
+        step //= q
+        square *= q * q
+        odd_part = (q - 1) * q * square * odd.get(2 * j + 1, 0)
+        explicit -= odd_part + q * square * (census[(2 * j, "plus")] + census[(2 * j, "minus")])
         if odd_part % 2:
             raise InternalInconsistency("odd-rank row frequency is not even")
         odd_part //= 2
         for tau in (1, -1):
-            v = census[(2 * j, TYPE_LABELS[tau])]
-            ent[base - tau * q ** (m - j - 1) * (q - 1)] += q ** (2 * j) * v
-            ent[base + tau * q ** (m - j - 1)] += (q - 1) * q ** (2 * j) * v + odd_part
-    low_row = q * (q - 1) * (q ** m - 1) // 2
-    ent[q ** m - 2 * q ** (m - 1)] += low_row
-    ent[q ** m] += low_row + q - 1
-    # balanced row, double entry: explicit expression vs q^k minus the rest
-    explicit = q ** k - q
-    for j in range(1, m // 2 + 1):
-        explicit -= q ** (2 * j + 1) * (census[(2 * j, "plus")] + census[(2 * j, "minus")])
-    for j in range(0, m // 2 + 1):
-        explicit -= (q - 1) * q ** (2 * j + 1) * odd.get(2 * j + 1, 0)
+            v = square * census[(2 * j, TYPE_LABELS[tau])]
+            ent[base - tau * step * (q - 1)] += v
+            ent[base + tau * step] += (q - 1) * v + odd_part
+    low_row = q * (q - 1) * (n - 1) // 2
+    ent[n - 2 * (n // q)] += low_row
+    ent[n] += low_row + q - 1
     implicit = q ** k - sum(ent.values())
     if explicit != implicit:
         raise InternalInconsistency(
@@ -203,41 +206,41 @@ def rm2_distribution(q: int, m: int) -> WeightDistribution:
     return WeightDistribution("rm2", q, m, params, entries)
 
 
-def _hrm2_entries(q: int, m: int) -> dict[int, int]:
-    census, odd = _census(q, m)
-    ent: Counter = Counter({0: 1})
-    ent[q ** m - q ** (m - 1)] += sum(odd.values())
+def _hrm2_table(q: int, m: int, census, odd) -> WeightDistribution:
+    n, step = q ** m, q ** (m - 1)  # step is q^(m-j-1) in the loop
+    base = n - step
+    ent: Counter = Counter({0: 1, base: sum(odd.values())})
     for j in range(1, m // 2 + 1):
+        step //= q
         for tau in (1, -1):
-            w = q ** m - q ** (m - 1) - tau * q ** (m - j - 1) * (q - 1)
-            ent[w] += census[(2 * j, TYPE_LABELS[tau])]
-    return dict(ent)
+            ent[base - tau * step * (q - 1)] += census[(2 * j, TYPE_LABELS[tau])]
+    return WeightDistribution("hrm2", q, m, code_parameters("hrm2", q, m), dict(ent))
 
 
 def hrm2_distribution(q: int, m: int) -> WeightDistribution:
     """Weight distribution of the homogeneous degree-2 code: one codeword
     per quadratic form, weight q^m minus its zero count."""
-    params = code_parameters("hrm2", q, m)
-    return WeightDistribution("hrm2", q, m, params, _hrm2_entries(q, m))
+    return _hrm2_table(q, m, *_census(q, m))
 
 
 def prm2_distribution(q: int, m: int) -> WeightDistribution:
     """Weight distribution of the projective degree-2 code.
 
     Built from the census over m + 1 variables, then revalidated against
-    the homogeneous code one dimension up: its weights divided by q - 1
-    must reproduce this table exactly.
+    the homogeneous table one dimension up, assembled from that same
+    census: its weights divided by q - 1 must reproduce this table exactly.
     """
     params = code_parameters("prm2", q, m)
     census, odd = _census(q, m + 1)
-    ent: Counter = Counter({0: 1})
-    ent[q ** m] += sum(odd.values())
+    n = step = q ** m  # step is q^(m-j) in the loop
+    ent: Counter = Counter({0: 1, n: sum(odd.values())})
     for j in range(1, (m + 1) // 2 + 1):
+        step //= q
         for tau in (1, -1):
-            ent[q ** m - tau * q ** (m - j)] += census[(2 * j, TYPE_LABELS[tau])]
+            ent[n - tau * step] += census[(2 * j, TYPE_LABELS[tau])]
     entries = dict(ent)
     scaled: Counter = Counter()
-    for w, f in hrm2_distribution(q, m + 1).entries.items():
+    for w, f in _hrm2_table(q, m + 1, census, odd).entries.items():
         if w % (q - 1):
             raise NonDivisibleWeight(f"homogeneous weight {w} not divisible by {q - 1}")
         scaled[w // (q - 1)] += f
@@ -310,17 +313,22 @@ def brute_force_distribution(
 
 def coset_assembled_distribution(q: int, m: int) -> WeightDistribution:
     """Third rm2 path for q > 2: census count times coset weight multiset,
-    summed over every (rank, type) class."""
+    summed over every (rank, type) class; a class's weights are q^m minus
+    the zero counts of its ``merged_rows``."""
     if q <= 2:
         raise UnsupportedParameters("coset assembly needs q > 2; binary uses its own table")
     params = code_parameters("rm2", q, m)
+    n = q ** m
     ent: Counter = Counter()
     for (rank, label), cnt in census_formula(q, m).entries.items():
         # an odd_total count covers both types, whose coset multisets agree
         tags = admissible_tags(q, rank)
         tag = next((t for t in tags if TYPE_LABELS[t] == label), tags[0])
-        for w, mult in coset_weight_multiset(q, m, rank, tag).entries.items():
-            ent[w] += cnt * mult
+        rows = merged_rows(q, m, rank, tag)
+        if any(mult < 0 for _, mult in rows) or sum(mult for _, mult in rows) != q * n:
+            raise InternalInconsistency(f"coset rows of rank {rank} are negative or miss q^(m+1)")
+        for v, mult in rows:
+            ent[n - v] += cnt * mult
     return WeightDistribution("rm2", q, m, params, dict(ent))
 
 

@@ -219,31 +219,31 @@ def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
     return _scaled(rows, size, size * q ** m)
 
 
-def spectrum_merged(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:
-    """Zero-count multiset over all q^(m+1) shifts Q + L + c, c ranging over GF(q)."""
-    validate_rank_type(q, m, rank, type_tag)
-    rows: list[tuple[int, int]]
+def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
+    """Rows (zero count, multiplicity) of ``spectrum_merged``, unchecked."""
     if rank == 0:
-        rows = [(q ** m, 1), (0, q - 1), (q ** (m - 1), q * (q ** m - 1))]
-    elif rank % 2:
-        base = q ** (m - 1)
+        return [(q ** m, 1), (0, q - 1), (q ** (m - 1), q * (q ** m - 1))]
+    base = q ** (m - 1)
+    if rank % 2:
         step = q ** (m - (rank + 1) // 2)
         each = _exact_half((q - 1) * q ** rank)
-        rows = [
+        return [
             (base, q ** (m + 1) - q ** (rank + 1) + q ** rank),
             (base + step, each),
             (base - step, each),
         ]
-    else:
-        base = q ** (m - 1)
-        step = q ** (m - (rank + 2) // 2)
-        tau = type_tag
-        rows = [
-            (base, q ** (m + 1) - q ** (rank + 1)),
-            (base + tau * step * (q - 1), q ** rank),
-            (base - tau * step, (q - 1) * q ** rank),
-        ]
-    return _scaled(rows, 1, q ** (m + 1))
+    step = type_tag * q ** (m - (rank + 2) // 2)
+    return [
+        (base, q ** (m + 1) - q ** (rank + 1)),
+        (base + step * (q - 1), q ** rank),
+        (base - step, (q - 1) * q ** rank),
+    ]
+
+
+def spectrum_merged(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:
+    """Zero-count multiset over all q^(m+1) shifts Q + L + c, c ranging over GF(q)."""
+    validate_rank_type(q, m, rank, type_tag)
+    return _scaled(merged_rows(q, m, rank, type_tag), 1, q ** (m + 1))
 
 
 def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:

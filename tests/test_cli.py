@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qfrm
-from qfrm import forms, verify
+from qfrm import codes, forms, verify
 from qfrm.cli import MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import rm2_distribution
 from qfrm.field import MAX_ORDER
@@ -178,6 +178,24 @@ def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
     assert err.startswith("error: ") and "diagonal" in err
 
 
+@pytest.mark.parametrize("family,q", [("rm2", 2), ("rm2", 3), ("hrm2", 3), ("prm2", 3), ("prm2", 4)])
+def test_dist_refuses_a_census_count_one_off(capsys, monkeypatch, family, q):
+    # the rank-1 count one too many: each family's own checks (the rm2
+    # balanced-row double entry, the q^k mass of every table, prm2 against
+    # the homogeneous table one dimension up) must refuse the table
+    real = codes.census_formula
+
+    def census_formula(*args):
+        table = real(*args)
+        key = next(key for key in table.entries if key[0] == 1)
+        table.entries[key] += 1
+        return table
+
+    monkeypatch.setattr(codes, "census_formula", census_formula)
+    code, out, err = run(capsys, "dist", "--family", family, "--q", str(q), "--m", "4")
+    assert code == 3 and out == "" and err.startswith("error: ")
+
+
 def test_count_full_table(capsys):
     code, out, _ = run(capsys, "count", "--q", "2", "--m", "2")
     assert code == 0
@@ -273,6 +291,32 @@ def test_rank_type_sweep_is_byte_identical(capsys):
         code = main(argv)
         digest.update(repr((argv, code, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == RANK_TYPE_SWEEP_SHA256
+
+
+# sha256 of every (argv, exit code, stdout) in _closed_form_commands, recorded
+# before census_formula moved to the H_j ladder and prm2 stopped building its
+# census twice; the closed-form tables must keep every byte
+CLOSED_FORM_SHA256 = "317d73363f2f208a42a890fe325d28867d347a9c0d84247d012543eb4b9d88b3"
+
+# the centre m per q of the benchmark's closed-form workload
+CLOSED_FORM_PAIRS = [(2, 96), (3, 72), (4, 64), (5, 64), (8, 56), (9, 56)]
+
+
+def _closed_form_commands():
+    for q, m in CLOSED_FORM_PAIRS:
+        head = ["--q", str(q), "--m", str(m)]
+        for fmt in ("text", "json", "csv"):
+            for family in ("rm2", "hrm2", "prm2"):
+                yield ["dist", "--family", family, *head, "--format", fmt]
+            yield ["count", *head, "--format", fmt]
+
+
+def test_closed_form_tables_are_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in _closed_form_commands():
+        code = main(argv)
+        digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == CLOSED_FORM_SHA256
 
 
 def test_verify_census(capsys):

@@ -19,7 +19,8 @@ from qfrm.codes import (
     rm2_distribution,
     weight_enumerator_text,
 )
-from qfrm.errors import BudgetExceeded, UnsupportedParameters
+from qfrm import codes
+from qfrm.errors import BudgetExceeded, InternalInconsistency, UnsupportedParameters
 from qfrm.forms import TYPE_LABELS, admissible_tags, zero_count_formula
 from qfrm.verify import run_verification
 
@@ -126,7 +127,13 @@ def test_prm_3_1_parameters_and_oracle():
     assert wd.entries == brute_force_distribution("prm2", 3, 1).entries
 
 
-@pytest.mark.parametrize("q,m", [(3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (3, 4), (9, 2)])
+# centre m of the benchmark's closed-form workload for some q
+LARGE_PAIRS = [(3, 72), (9, 56), (2, 96), (5, 64)]
+
+
+@pytest.mark.parametrize(
+    "q,m", [(3, 2), (3, 3), (4, 2), (5, 2), (7, 2), (3, 4), (9, 2)] + [p for p in LARGE_PAIRS if p[0] > 2]
+)
 def test_coset_assembly_agrees_with_table(q, m):
     assert coset_assembled_distribution(q, m).entries == rm2_distribution(q, m).entries
 
@@ -136,8 +143,48 @@ def test_coset_assembly_rejects_binary():
         coset_assembled_distribution(2, 3)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_coset_assembly_refuses_a_merged_row_one_off(monkeypatch):
+    # one multiplicity of one class off by one: the per-class check must name
+    # that class, before the table's own q^k mass check would see it
+    real = codes.merged_rows
+
+    def merged_rows(q, m, rank, type_tag):
+        rows = real(q, m, rank, type_tag)
+        if rank == 2:
+            rows[1] = (rows[1][0], rows[1][1] + 1)
+        return rows
+
+    monkeypatch.setattr(codes, "merged_rows", merged_rows)
+    with pytest.raises(InternalInconsistency, match="rank 2 "):
+        coset_assembled_distribution(3, 4)
+
+
+@pytest.mark.parametrize(
+    "build,q,m",
+    [
+        (rm2_distribution, 2, 9),
+        (rm2_distribution, 3, 8),
+        (hrm2_distribution, 3, 8),
+        (prm2_distribution, 3, 8),
+        (prm2_distribution, 2, 9),
+        (coset_assembled_distribution, 4, 7),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_one_census_per_table(monkeypatch, build, q, m):
+    # prm2 reads the census one dimension up, and revalidates against the
+    # homogeneous table assembled from that same census
+    calls = []
+    real = codes.census_formula
+    monkeypatch.setattr(codes, "census_formula", lambda *args: calls.append(args) or real(*args))
+    build(q, m)
+    assert calls == [(q, m + 1 if build is prm2_distribution else m)]
+
+
+# (m, q) order keeps the test ids of the former m x q grid
+@pytest.mark.parametrize(
+    "m,q", [(m, q) for m in (1, 2, 3, 4) for q in (2, 3, 4, 5)] + [(m, q) for q, m in LARGE_PAIRS]
+)
 def test_prm_is_scaled_hrm(q, m):
     prm = prm2_distribution(q, m)
     hrm = hrm2_distribution(q, m + 1)
