@@ -9,11 +9,12 @@ can be cross-checked two ways. Frequencies are exact big integers. The
 enumerator lists only the quadratic parts of the codewords and reads
 every weight from their affine-shift counts (``forms.affine_shift_counts``).
 
-The rm2 balanced-weight row is computed from its explicit expression and
-revalidated as q^k minus all other rows; any mismatch raises instead of
-shipping a wrong table. The projective table reads the census one
-dimension up and is revalidated against the homogeneous table built from
-that same census, whose weights it must reproduce after division by q - 1.
+Every rm2 row, the balanced-weight row included, is computed from the
+census, so the q^k mass check of the table sees every census count of
+rank >= 1; any mismatch raises instead of shipping a wrong table. The
+projective table reads the census one dimension up and is revalidated
+against the homogeneous table built from that same census, whose weights
+it must reproduce after division by q - 1.
 """
 
 from __future__ import annotations
@@ -165,18 +166,21 @@ def _rm2_binary_entries(m: int) -> dict[int, int]:
     return dict(ent)
 
 
-def _rm2_general_entries(q: int, m: int, k: int) -> dict[int, int]:
+def _rm2_general_entries(q: int, m: int) -> dict[int, int]:
     census, odd = _census(q, m)
-    ent: Counter = Counter({0: 1})
     n, step, square = q ** m, q ** (m - 1), 1  # step q^(m-j-1), square q^(2j) in the loop
-    base = n - step
-    # balanced row, double entry: explicit expression vs q^k minus the rest
-    explicit = q ** k - q - (q - 1) * q * odd[1]
+    base, shifts = n - step, q * n  # shifts: the q^(m+1) affine parts of each form
+    low_row = q * (q - 1) * odd[1] // 2
+    ent: Counter = Counter({0: 1, n - 2 * (n // q): low_row, n: low_row + q - 1})
+    # balanced row: the affine parts of each rank that no other row takes
+    balanced = q * (n - 1) + odd[1] * (shifts - q * q + q)
     for j in range(1, m // 2 + 1):
         step //= q
         square *= q * q
-        odd_part = (q - 1) * q * square * odd.get(2 * j + 1, 0)
-        explicit -= odd_part + q * square * (census[(2 * j, "plus")] + census[(2 * j, "minus")])
+        both = census[(2 * j, "plus")] + census[(2 * j, "minus")]
+        odd_count = odd.get(2 * j + 1, 0)
+        balanced += both * (shifts - q * square) + odd_count * (shifts - (q - 1) * q * square)
+        odd_part = (q - 1) * q * square * odd_count
         if odd_part % 2:
             raise InternalInconsistency("odd-rank row frequency is not even")
         odd_part //= 2
@@ -184,15 +188,7 @@ def _rm2_general_entries(q: int, m: int, k: int) -> dict[int, int]:
             v = square * census[(2 * j, TYPE_LABELS[tau])]
             ent[base - tau * step * (q - 1)] += v
             ent[base + tau * step] += (q - 1) * v + odd_part
-    low_row = q * (q - 1) * (n - 1) // 2
-    ent[n - 2 * (n // q)] += low_row
-    ent[n] += low_row + q - 1
-    implicit = q ** k - sum(ent.values())
-    if explicit != implicit:
-        raise InternalInconsistency(
-            f"balanced-row double entry failed: {explicit} vs {implicit}"
-        )
-    ent[base] += explicit
+    ent[base] += balanced
     return dict(ent)
 
 
@@ -202,7 +198,7 @@ def rm2_distribution(q: int, m: int) -> WeightDistribution:
     if q == 2:
         entries = _rm2_binary_entries(m)
     else:
-        entries = _rm2_general_entries(q, m, params.k)
+        entries = _rm2_general_entries(q, m)
     return WeightDistribution("rm2", q, m, params, entries)
 
 

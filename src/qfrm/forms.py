@@ -1,7 +1,8 @@
 """Quadratic forms on GF(q)^m: representation, rank and type
-classification (by matrix rank and diagonalisation over odd q, by
-symplectic reduction over even q), canonical representatives,
-substitutions, and exact zero counts.
+classification (over odd q by two eliminations per form, the matrix rank
+and a congruence diagonalisation; over even q by one symplectic
+reduction), canonical representatives, substitutions, and exact zero
+counts.
 
 A form is stored as its upper-triangle coefficient table c[i][j], i <= j,
 row-major. For even q that table is the unique representation
@@ -384,18 +385,15 @@ def _apply_swap(C, A, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def diagonalize(form: QuadraticForm):
-    """Congruence-reduce an odd-q form to sum a_i x_i^2.
-
-    Returns (nonzero diagonal coefficients, substitution A) with
-    Q(A y) = sum_i a_i y_i^2. Pivoting is deterministic: smallest
-    available diagonal index first; if the active block has a zero
-    diagonal, the smallest cross term is folded onto the diagonal by the
-    variable change x_i -> x_i + x_j.
+def _congruence(form: QuadraticForm):
+    """Congruence reduction of an odd-q form: (nonzero diagonal
+    coefficients, rows of A) with Q(A y) = sum_i a_i y_i^2. Pivoting is
+    deterministic: smallest available diagonal index first; if the active
+    block has a zero diagonal, the smallest cross term is folded onto the
+    diagonal by the variable change x_i -> x_i + x_j. A is not checked
+    here; ``diagonalize`` validates it.
     """
     fld = form.field
-    if fld.p == 2:
-        raise EvenCharacteristic("diagonalisation requires odd characteristic")
     m = form.m
     C = form.symmetric_matrix()
     A = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -417,8 +415,20 @@ def diagonalize(form: QuadraticForm):
             if C[k][l]:
                 _apply_transvection(fld, C, A, k, l, fld.neg(fld.mul(C[k][l], inv)))
         k += 1
-    diag = tuple(C[i][i] for i in range(k))
-    return diag, Substitution(fld, m, tuple(tuple(r) for r in A))
+    return tuple(C[i][i] for i in range(k)), A
+
+
+def diagonalize(form: QuadraticForm):
+    """Congruence-reduce an odd-q form to sum a_i x_i^2.
+
+    Returns (nonzero diagonal coefficients, substitution A) with
+    Q(A y) = sum_i a_i y_i^2, A validated as a ``Substitution``; the
+    pivoting is that of ``_congruence``.
+    """
+    if form.field.p == 2:
+        raise EvenCharacteristic("diagonalisation requires odd characteristic")
+    diag, A = _congruence(form)
+    return diag, Substitution(form.field, form.m, tuple(tuple(r) for r in A))
 
 
 def type_from_diagonal(field: FiniteField, coefficients) -> int:
@@ -492,10 +502,11 @@ def _symplectic_reduction(form: QuadraticForm) -> tuple[int, int]:
 def classify(form: QuadraticForm) -> RankType:
     """Rank and type of a form.
 
-    Odd q: the rank is the rank of the coefficient matrix C (the polar
-    Gram matrix is 2C, and 2 is a unit), and the type is read from a
-    congruence diagonalisation, whose length must equal that rank (a
-    second, independent elimination). Even q: one symplectic
+    Odd q: two eliminations. The rank is the rank of the coefficient
+    matrix C (the polar Gram matrix is 2C, and 2 is a unit), and the type
+    is read from a congruence diagonalisation, whose length must equal
+    that rank; its substitution is not needed, so it is not validated (a
+    singular one would shorten the diagonal). Even q: one symplectic
     reduction gives the rank and the Arf invariant, and an even rank has
     type +1 exactly when the Arf invariant has absolute trace 0 (Lidl and
     Niederreiter, Finite Fields, ch. 6). Both cost O(m^3) field
@@ -510,7 +521,7 @@ def classify(form: QuadraticForm) -> RankType:
     r = _matrix_rank(fld, form.symmetric_matrix())
     if r == 0:
         return RankType(0, 1)
-    diag, _ = diagonalize(form)
+    diag, _ = _congruence(form)
     if len(diag) != r:
         raise InternalInconsistency("diagonal length disagrees with the matrix rank")
     return RankType(r, type_from_diagonal(fld, diag))

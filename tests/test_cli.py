@@ -169,31 +169,35 @@ def test_classify_coefficient_cap_keeps_zero_counts_under_the_output_cap():
 
 
 def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
-    # the matrix rank and the diagonalisation are two eliminations; a
+    # the matrix rank and the congruence reduction are two eliminations; a
     # diagonal one coefficient short must be refused, not classified
-    real = forms.diagonalize
-    monkeypatch.setattr(forms, "diagonalize", lambda Q: (real(Q)[0][1:], real(Q)[1]))
+    real = forms._congruence
+    monkeypatch.setattr(forms, "_congruence", lambda Q: (real(Q)[0][1:], real(Q)[1]))
     code, out, err = run(capsys, "classify", "--q", "3", "--m", "2", "--coeffs", "c[1][1]=1")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "diagonal" in err
 
 
-@pytest.mark.parametrize("family,q", [("rm2", 2), ("rm2", 3), ("hrm2", 3), ("prm2", 3), ("prm2", 4)])
+@pytest.mark.parametrize(
+    "family,q", [("rm2", 2), ("rm2", 3), ("rm2", 4), ("hrm2", 3), ("prm2", 3), ("prm2", 4)]
+)
 def test_dist_refuses_a_census_count_one_off(capsys, monkeypatch, family, q):
-    # the rank-1 count one too many: each family's own checks (the rm2
-    # balanced-row double entry, the q^k mass of every table, prm2 against
-    # the homogeneous table one dimension up) must refuse the table
+    # each census count of rank >= 1 one too many, in turn: each family's
+    # own checks (the q^k mass of every table, prm2 against the homogeneous
+    # table one dimension up) must refuse the table
+    m = 5
     real = codes.census_formula
+    keys = [key for key in real(q, m + (family == "prm2")).entries if key[0] >= 1]
+    for bad in keys:
 
-    def census_formula(*args):
-        table = real(*args)
-        key = next(key for key in table.entries if key[0] == 1)
-        table.entries[key] += 1
-        return table
+        def census_formula(*args, bad=bad):
+            table = real(*args)
+            table.entries[bad] += 1
+            return table
 
-    monkeypatch.setattr(codes, "census_formula", census_formula)
-    code, out, err = run(capsys, "dist", "--family", family, "--q", str(q), "--m", "4")
-    assert code == 3 and out == "" and err.startswith("error: ")
+        monkeypatch.setattr(codes, "census_formula", census_formula)
+        code, out, err = run(capsys, "dist", "--family", family, "--q", str(q), "--m", str(m))
+        assert (code, out, err.startswith("error: ")) == (3, "", True), bad
 
 
 def test_count_full_table(capsys):

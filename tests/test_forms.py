@@ -355,13 +355,48 @@ def test_classify_examples():
 
 
 def test_classify_refuses_a_short_diagonal(monkeypatch):
-    # the matrix rank and the diagonalisation are two eliminations, and
-    # classify compares their results
-    real = forms_module.diagonalize
-    monkeypatch.setattr(forms_module, "diagonalize", lambda Q: (real(Q)[0][1:], real(Q)[1]))
+    # the matrix rank and the congruence reduction are two eliminations,
+    # and classify compares their results
+    real = forms_module._congruence
+    monkeypatch.setattr(forms_module, "_congruence", lambda Q: (real(Q)[0][1:], real(Q)[1]))
     with pytest.raises(InternalInconsistency):
         classify(canonical_form(F3, 3, 2, -1))
     assert classify(canonical_form(F2, 3, 2, -1)) == RankType(2, -1)  # even q: no diagonal
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_odd_classify_makes_two_eliminations(monkeypatch, q):
+    # one _matrix_rank and one congruence reduction per form; the
+    # substitution of the reduction is discarded, so none is built
+    fld = SMALL_FIELDS[q]
+    rank_calls = []
+    real_rank = forms_module._matrix_rank
+
+    def matrix_rank(*args):
+        rank_calls.append(args)
+        return real_rank(*args)
+
+    monkeypatch.setattr(forms_module, "_matrix_rank", matrix_rank)
+
+    def no_substitution(*args):
+        raise AssertionError("classify built a Substitution")
+
+    monkeypatch.setattr(forms_module, "Substitution", no_substitution)
+    rng = random.Random(q)
+    for m in range(1, 7):
+        for _ in range(5):
+            Q = random_form(rng, fld, m)
+            if any(Q.coeffs):
+                rank_calls.clear()
+                classify(Q)
+                assert len(rank_calls) == 1
+
+
+def test_diagonalize_refuses_a_singular_congruence(monkeypatch):
+    # diagonalize validates the substitution it hands out
+    monkeypatch.setattr(forms_module, "_congruence", lambda Q: ((1,), [[1, 0], [1, 0]]))
+    with pytest.raises(SingularSubstitution):
+        diagonalize(form(F3, 2, {(0, 0): 1}))
 
 
 def test_canonical_form_examples():
