@@ -325,9 +325,9 @@ def _cmd_describe_field(args) -> int:
     return 0
 
 
-def _add_common(parser, fmt=True):
-    if fmt:
-        parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(parser, formats=("text", "json", "csv")):
+    if formats:
+        parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--output", help="write data to this path instead of stdout")
 
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--coeffs", help="space-separated c[i][j]=v entries (needs --q/--m)")
     p.add_argument("--file", help="file holding the full 'q=.. m=..; ...' form text")
-    _add_common(p)
+    _add_common(p, formats=("text", "json"))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("count", help="census of forms by rank and type")
@@ -386,12 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=DEFAULT_ORACLE_BUDGET,
                    help="coset-spectrum oracle budget, in transform steps per form (default 2^24)")
     p.add_argument("--max-codewords", type=int, default=DEFAULT_SYMBOL_BUDGET)
-    _add_common(p, fmt=False)
+    _add_common(p, formats=())
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("describe-field", help="deterministic field construction data")
     p.add_argument("--q", type=int, required=True)
-    _add_common(p)
+    _add_common(p, formats=("text", "json"))
     p.set_defaults(func=_cmd_describe_field)
 
     return parser

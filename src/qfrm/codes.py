@@ -2,31 +2,30 @@
 families: the full degree-<=2 code (rm2), its homogeneous subcode (hrm2),
 and the projective variant (prm2).
 
-Closed-form distributions are assembled from the form census; every
-family also has a brute-force codeword enumerator, and rm2 over q > 2 has
-a third path that pastes coset weight multisets together, so each table
-can be cross-checked two ways. Frequencies are exact big integers. The
-enumerator lists only the quadratic parts of the codewords and reads
-every weight from their affine-shift counts (``forms.affine_shift_counts``).
+Every closed-form table is one tally over the census classes (rank,
+type): each class's count times the zero counts of the words one form of
+the class leads, read from ``spectra.merged_rows`` for rm2 (the coset of
+the first-order code the form leads) and from ``forms.zero_count_formula``
+for hrm2 and prm2. Every family also has a brute-force codeword
+enumerator, the independent oracle, which lists only the quadratic parts
+of the codewords and reads every weight from their affine-shift counts
+(``forms.affine_shift_counts``). Frequencies are exact big integers.
 
-Every rm2 row, the balanced-weight row included, is computed from the
-census, so the q^k mass check of the table sees every census count of
-rank >= 1; any mismatch raises instead of shipping a wrong table. The
-projective table reads the census one dimension up and is revalidated
-against the homogeneous table built from that same census, whose weights
-it must reproduce after division by q - 1.
+Every table is checked as it is built: the frequencies must total q^k,
+which sees every census count of rank >= 1, and must satisfy the first
+Pless power moment, which sees every weight; any mismatch raises instead
+of shipping a wrong table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 # count_even_rank and count_odd_rank stay importable here: perfbench/tracing.py
 # wraps them under this module's names
-from .census import census_formula, count_even_rank, count_odd_rank  # noqa: F401
+from .census import _exact_div, census_formula, count_even_rank, count_odd_rank  # noqa: F401
 from .errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -40,11 +39,11 @@ from .forms import (
     TYPE_LABELS,
     _form_blocks,
     _monomial_planes,
-    admissible_tags,
     affine_shift_counts,
     triangle_pairs,
+    zero_count_formula,
 )
-# coset_weight_multiset stays importable here, though the coset assembly reads
+# coset_weight_multiset stays importable here, though the rm2 table reads
 # merged_rows: perfbench/tracing.py wraps it under this module's name
 from .spectra import coset_weight_multiset, merged_rows  # noqa: F401
 
@@ -83,6 +82,12 @@ class WeightDistribution:
         total = sum(self.entries.values())
         if total != self.q ** self.params.k:
             raise InternalInconsistency(f"frequencies total {total}, expected q^k")
+        # first Pless power moment (B_1 = 0 of the dual): a coordinate that is
+        # not zero on the whole code is nonzero in (q - 1)/q of the words; the
+        # zero point is hrm2's one zero coordinate
+        live = self.params.n - (self.family == "hrm2")
+        if sum(w * f for w, f in self.entries.items()) * self.q != total * (self.q - 1) * live:
+            raise InternalInconsistency("weights break the first power moment")
         min_pos = min(w for w in self.entries if w > 0)
         if min_pos != self.params.d:
             raise InternalInconsistency(
@@ -145,103 +150,68 @@ def code_parameters(family: str, q: int, m: int) -> CodeParameters:
     return CodeParameters((q ** (m + 1) - 1) // (q - 1), k, (q - 1) * q ** (m - 1))
 
 
-def _census(q, m):
-    """One census pass: every (rank, type) count, and the odd-rank counts
-    keyed by rank alone."""
-    entries = census_formula(q, m).entries
-    return entries, {r: c for (r, _), c in entries.items() if r % 2}
+# census label -> the tag whose rows stand for the class; an odd_total count
+# covers both types of an odd rank, whose coset rows and zero counts agree
+_LABEL_TAGS = {label: tag for tag, label in TYPE_LABELS.items()} | {"odd_total": 1}
 
 
 # -- closed-form distributions -----------------------------------------------------
 
-def _rm2_binary_entries(m: int) -> dict[int, int]:
-    census, odd = _census(2, m)
-    half = 1 << (m - 1)
-    ent: Counter = Counter({0: 1, 2 * half: 1})
-    ent[half] += 2 * sum(odd.values())
-    for j in range(1, m // 2 + 1):
-        both = census[(2 * j, "plus")] + census[(2 * j, "minus")]
-        ent[half + (half >> j)] += both
-        ent[half - (half >> j)] += both
-    return dict(ent)
+def _tally(q: int, m: int, rows) -> dict[int, int]:
+    """Sum over the census classes of count x rows(rank, tag), where rows
+    lists the (zero count, multiplicity) pairs of the words one form of
+    the class leads; each family turns zero counts into weights once."""
+    tally: dict[int, int] = {}
+    for (rank, label), count in census_formula(q, m).entries.items():
+        for v, mult in rows(rank, _LABEL_TAGS[label]):
+            tally[v] = tally.get(v, 0) + count * mult
+    return tally
 
 
-def _rm2_general_entries(q: int, m: int) -> dict[int, int]:
-    census, odd = _census(q, m)
-    n, step, square = q ** m, q ** (m - 1), 1  # step q^(m-j-1), square q^(2j) in the loop
-    base, shifts = n - step, q * n  # shifts: the q^(m+1) affine parts of each form
-    low_row = q * (q - 1) * odd[1] // 2
-    ent: Counter = Counter({0: 1, n - 2 * (n // q): low_row, n: low_row + q - 1})
-    # balanced row: the affine parts of each rank that no other row takes
-    balanced = q * (n - 1) + odd[1] * (shifts - q * q + q)
-    for j in range(1, m // 2 + 1):
-        step //= q
-        square *= q * q
-        both = census[(2 * j, "plus")] + census[(2 * j, "minus")]
-        odd_count = odd.get(2 * j + 1, 0)
-        balanced += both * (shifts - q * square) + odd_count * (shifts - (q - 1) * q * square)
-        odd_part = (q - 1) * q * square * odd_count
-        if odd_part % 2:
-            raise InternalInconsistency("odd-rank row frequency is not even")
-        odd_part //= 2
-        for tau in (1, -1):
-            v = square * census[(2 * j, TYPE_LABELS[tau])]
-            ent[base - tau * step * (q - 1)] += v
-            ent[base + tau * step] += (q - 1) * v + odd_part
-    ent[base] += balanced
-    return dict(ent)
+def _form_tally(q: int, m: int) -> dict[int, int]:
+    return _tally(q, m, lambda rank, tag: ((zero_count_formula(rank, tag, q, m), 1),))
 
 
 def rm2_distribution(q: int, m: int) -> WeightDistribution:
-    """Weight distribution of the full second-order code."""
+    """Weight distribution of the full second-order code: each form Q leads
+    the q^(m+1) words Q + L + c, whose weights are q^m minus the zero
+    counts of its ``merged_rows``."""
     params = code_parameters("rm2", q, m)
+    n = q ** m
+
+    def rows(rank, tag):
+        merged = merged_rows(q, m, rank, tag)
+        mults = [mult for _, mult in merged]
+        if min(mults) < 0 or sum(mults) != q * n:
+            raise InternalInconsistency(f"coset rows of rank {rank} are negative or miss q^(m+1)")
+        return merged
+
+    tally = _tally(q, m, rows)
     if q == 2:
-        entries = _rm2_binary_entries(m)
-    else:
-        entries = _rm2_general_entries(q, m)
-    return WeightDistribution("rm2", q, m, params, entries)
-
-
-def _hrm2_table(q: int, m: int, census, odd) -> WeightDistribution:
-    n, step = q ** m, q ** (m - 1)  # step is q^(m-j-1) in the loop
-    base = n - step
-    ent: Counter = Counter({0: 1, base: sum(odd.values())})
-    for j in range(1, m // 2 + 1):
-        step //= q
-        for tau in (1, -1):
-            ent[base - tau * step * (q - 1)] += census[(2 * j, TYPE_LABELS[tau])]
-    return WeightDistribution("hrm2", q, m, code_parameters("hrm2", q, m), dict(ent))
+        # x_i^2 = x_i over GF(2), so 2^m forms lead each coset of RM(1, m)
+        tally = {v: _exact_div(f, n) for v, f in tally.items()}
+    return WeightDistribution("rm2", q, m, params, {n - v: f for v, f in tally.items()})
 
 
 def hrm2_distribution(q: int, m: int) -> WeightDistribution:
     """Weight distribution of the homogeneous degree-2 code: one codeword
     per quadratic form, weight q^m minus its zero count."""
-    return _hrm2_table(q, m, *_census(q, m))
+    params = code_parameters("hrm2", q, m)
+    n = q ** m
+    return WeightDistribution("hrm2", q, m, params, {n - v: f for v, f in _form_tally(q, m).items()})
 
 
 def prm2_distribution(q: int, m: int) -> WeightDistribution:
-    """Weight distribution of the projective degree-2 code.
-
-    Built from the census over m + 1 variables, then revalidated against
-    the homogeneous table one dimension up, assembled from that same
-    census: its weights divided by q - 1 must reproduce this table exactly.
-    """
+    """Weight distribution of the projective degree-2 code: the hrm2 weights
+    over m + 1 variables, each divided by q - 1, since every projective
+    point stands for q - 1 nonzero points."""
     params = code_parameters("prm2", q, m)
-    census, odd = _census(q, m + 1)
-    n = step = q ** m  # step is q^(m-j) in the loop
-    ent: Counter = Counter({0: 1, n: sum(odd.values())})
-    for j in range(1, (m + 1) // 2 + 1):
-        step //= q
-        for tau in (1, -1):
-            ent[n - tau * step] += census[(2 * j, TYPE_LABELS[tau])]
-    entries = dict(ent)
-    scaled: Counter = Counter()
-    for w, f in _hrm2_table(q, m + 1, census, odd).entries.items():
-        if w % (q - 1):
-            raise NonDivisibleWeight(f"homogeneous weight {w} not divisible by {q - 1}")
-        scaled[w // (q - 1)] += f
-    if dict(scaled) != entries:
-        raise InternalInconsistency("projective table disagrees with the scaled homogeneous table")
+    n = q ** (m + 1)
+    entries = {}
+    for v, f in _form_tally(q, m + 1).items():
+        if (n - v) % (q - 1):
+            raise NonDivisibleWeight(f"homogeneous weight {n - v} not divisible by {q - 1}")
+        entries[(n - v) // (q - 1)] = f
     return WeightDistribution("prm2", q, m, params, entries)
 
 
@@ -308,24 +278,11 @@ def brute_force_distribution(
 
 
 def coset_assembled_distribution(q: int, m: int) -> WeightDistribution:
-    """Third rm2 path for q > 2: census count times coset weight multiset,
-    summed over every (rank, type) class; a class's weights are q^m minus
-    the zero counts of its ``merged_rows``."""
+    """The rm2 table for q > 2, where each coset of the first-order code has
+    one leading form; ``rm2_distribution`` assembles it from those cosets."""
     if q <= 2:
-        raise UnsupportedParameters("coset assembly needs q > 2; binary uses its own table")
-    params = code_parameters("rm2", q, m)
-    n = q ** m
-    ent: Counter = Counter()
-    for (rank, label), cnt in census_formula(q, m).entries.items():
-        # an odd_total count covers both types, whose coset multisets agree
-        tags = admissible_tags(q, rank)
-        tag = next((t for t in tags if TYPE_LABELS[t] == label), tags[0])
-        rows = merged_rows(q, m, rank, tag)
-        if any(mult < 0 for _, mult in rows) or sum(mult for _, mult in rows) != q * n:
-            raise InternalInconsistency(f"coset rows of rank {rank} are negative or miss q^(m+1)")
-        for v, mult in rows:
-            ent[n - v] += cnt * mult
-    return WeightDistribution("rm2", q, m, params, dict(ent))
+        raise UnsupportedParameters("coset assembly needs q > 2; over GF(2) 2^m forms lead each coset")
+    return rm2_distribution(q, m)
 
 
 # -- rendering ---------------------------------------------------------------------------

@@ -182,9 +182,9 @@ def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
     "family,q", [("rm2", 2), ("rm2", 3), ("rm2", 4), ("hrm2", 3), ("prm2", 3), ("prm2", 4)]
 )
 def test_dist_refuses_a_census_count_one_off(capsys, monkeypatch, family, q):
-    # each census count of rank >= 1 one too many, in turn: each family's
-    # own checks (the q^k mass of every table, prm2 against the homogeneous
-    # table one dimension up) must refuse the table
+    # each census count of rank >= 1 one too many, in turn: the table's own
+    # checks (its q^k mass, and for binary rm2 the division by 2^m) must
+    # refuse it
     m = 5
     real = codes.census_formula
     keys = [key for key in real(q, m + (family == "prm2")).entries if key[0] >= 1]
@@ -198,6 +198,40 @@ def test_dist_refuses_a_census_count_one_off(capsys, monkeypatch, family, q):
         monkeypatch.setattr(codes, "census_formula", census_formula)
         code, out, err = run(capsys, "dist", "--family", family, "--q", str(q), "--m", str(m))
         assert (code, out, err.startswith("error: ")) == (3, "", True), bad
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_dist_refuses_a_shifted_coset_row(capsys, monkeypatch, q):
+    # one zero count of the rank-4 coset rows one too many, its multiplicity
+    # kept: the frequencies still total q^k, but the first power moment breaks
+    # (over GF(2) the division by 2^m already refuses such a row)
+    real = codes.merged_rows
+
+    def merged_rows(q, m, rank, type_tag):
+        rows = real(q, m, rank, type_tag)
+        if rank == 4:
+            rows[0] = (rows[0][0] + 1, rows[0][1])
+        return rows
+
+    monkeypatch.setattr(codes, "merged_rows", merged_rows)
+    code, out, err = run(capsys, "dist", "--family", "rm2", "--q", str(q), "--m", "40")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "power moment" in err
+
+
+@pytest.mark.parametrize("family,q", [("hrm2", 2), ("hrm2", 3), ("hrm2", 5), ("prm2", 2)])
+def test_dist_refuses_a_shifted_zero_count(capsys, monkeypatch, family, q):
+    # one class's zero count one too many: the table keeps its q^k mass and its
+    # minimum weight, and only the first power moment sees the shifted weight
+    real = codes.zero_count_formula
+
+    def zero_count_formula(rank, type_tag, q, m):
+        return real(rank, type_tag, q, m) + (rank == 4 and type_tag == 1)
+
+    monkeypatch.setattr(codes, "zero_count_formula", zero_count_formula)
+    code, out, err = run(capsys, "dist", "--family", family, "--q", str(q), "--m", "40")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "power moment" in err
 
 
 def test_count_full_table(capsys):
@@ -496,6 +530,23 @@ def test_describe_field(capsys):
     payload = json.loads(out)
     assert payload["modulus"] == [1, 0, 1]
     assert payload["smallest_nonsquare"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--q", "3", "--m", "2", "--coeffs", "c[1][1]=1"],
+        ["describe-field", "--q", "4"],
+    ],
+    ids=["classify", "describe-field"],
+)
+def test_csv_format_is_refused_where_there_is_no_table(capsys, argv):
+    # classify and describe-field print records, not tables: text and json only
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
 
 
 def test_describe_field_rejects_huge_order_at_once(capsys):
