@@ -1,7 +1,9 @@
 """Counts of quadratic forms on GF(q)^m per (rank, type) class.
 
-``census_formula`` evaluates the closed-form counts in exact integer
-arithmetic, the whole table in one pass per (q, m): each rank's product
+``census_formula`` evaluates the closed-form counts in exact arithmetic,
+in the unit it is given (the int 1 by default; ``qfrm count`` passes
+``Decimal(1)`` under a trapping exact context, so its counts print in
+linear time), the whole table in one pass per (q, m): each rank's product
 follows from the previous one by a ratio, so no caller rebuilds a rank's
 product from scratch (``count_even_rank`` and ``count_odd_rank`` read one
 entry of that table). ``census_exhaustive`` is the oracle for the
@@ -97,7 +99,7 @@ def _odd_rank_label(q: int) -> str:
     return TYPE_LABELS[None] if q % 2 == 0 else "odd_total"
 
 
-def census_formula(q: int, m: int) -> CensusTable:
+def census_formula(q: int, m: int, unit=1) -> CensusTable:
     """Closed-form census over all admissible (rank, type) classes, in one
     pass over the ranks.
 
@@ -105,10 +107,12 @@ def census_formula(q: int, m: int) -> CensusTable:
     gives N(2j, tau) = (H_j q^j + tau H_j) / 2 and N(2j + 1) = H_j q^j (q^{m-2j} - 1);
     H_{j+1} = H_j q^{2j+1} (q^{m-2j} - 1)(q^{m-2j-1} - 1) / (q^{2j+2} - 1), so the
     census costs O(m) steps of the big H_j by small running powers of q.
+    Every count is built from ``unit``: 1, or ``Decimal(1)`` under a context
+    that traps Inexact and Rounded.
     """
-    entries: dict[tuple[int, str], int] = {(0, TYPE_LABELS[1]): 1}
+    entries: dict[tuple[int, str], int] = {(0, TYPE_LABELS[1]): unit}
     label = _odd_rank_label(q)
-    h, qj, top = 1, 1, q ** m  # H_j, q^j, q^(m-2j)
+    h, qj, top = unit, unit, (unit * q) ** m  # H_j, q^j, q^(m-2j)
     for j in range(m // 2 + 1):
         hq = h * qj
         if j:

@@ -23,12 +23,14 @@ and a cross coefficient c contributes 2c * x_i * x_j to the polynomial.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import itertools
 import json
 import math
 import re
 import sys
+from decimal import Decimal
 
 from .census import census_formula
 from .codes import (
@@ -63,9 +65,10 @@ _COEFF_RE = re.compile(r"c\[(\d+)\]\[(\d+)\]=(\d+)")
 _HEAD_RE = re.compile(r"^\s*q=(\d+)\s+m=(\d+)\s*;(.*)$", re.DOTALL)
 
 # Largest number, in bits, that dist, count, spectrum or verify may print or
-# build. Decimal rendering dominates near this size (a table at the cap takes
-# 1.1 to 2.2 s, the table itself under 0.1 s of it), and every table of the
-# test suite and the benchmark stays inside it.
+# build. The largest dist and count tables inside it take 0.05 to 0.14 s in
+# process on a 2-core x86 box under CPython 3.11 (dist --family rm2 --q 3
+# --m 285 prints 7.5 million characters),
+# and every table of the test suite and the benchmark stays inside it.
 MAX_OUTPUT_BITS = 1 << 16
 
 # Largest coefficient table, m(m+1)/2 entries, that classify accepts: m up to
@@ -73,6 +76,18 @@ MAX_OUTPUT_BITS = 1 << 16
 # count classify prints, q^m for the zero form, then stays under
 # MAX_OUTPUT_BITS for every field (20 * 1023 bits at q = 2^20).
 MAX_FORM_COEFFS = 1 << 19
+
+
+# dist and count build their tables in Decimal under this context: every
+# operation is exact or raises, and the counts print in linear time, where
+# str() of an int is quadratic in its digits
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
 
 
 def _check_output_size(q: int, exponent: int) -> None:
@@ -137,9 +152,21 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _exact(command):
+    """Run the command under the exact context; the caller's is restored."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        with decimal.localcontext(_EXACT):
+            return command(args)
+
+    return run
+
+
+@_exact
 def _cmd_dist(args) -> int:
     _check_output_size(args.q, code_dimension(args.family, args.q, args.m))
-    wd = distribution(args.family, args.q, args.m)
+    wd = distribution(args.family, args.q, args.m, Decimal(1))
     if args.format == "json":
         _emit(args, json.dumps(wd.to_json_dict()))
     elif args.format == "csv":
@@ -180,11 +207,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@_exact
 def _cmd_count(args) -> int:
     if args.m < 0:
         raise OutOfRange(f"m must be >= 0, got {args.m}")
-    _check_output_size(args.q, args.m * (args.m + 1) // 2)
-    table = census_formula(args.q, args.m)
+    _check_output_size(args.q, triangle_size(args.m))
+    table = census_formula(args.q, args.m, Decimal(1))
+    total = table.total()
+    # every form is counted once; under the exact context a NaN count raises
+    # at the ordering comparison
+    if min(table.entries.values()) < 1 or total != Decimal(args.q) ** triangle_size(args.m):
+        raise InternalInconsistency("census counts are not all positive or miss q^(m(m+1)/2)")
     items = table.sorted_items()
     if args.rank is not None:
         labels = [label for (rank, label), _ in items if rank == args.rank]
@@ -207,7 +240,7 @@ def _cmd_count(args) -> int:
         _emit(args, "\n".join(lines))
     else:
         lines = [f"rank={r} type={l} count={c}" for (r, l), c in items]
-        lines.append(f"total={sum(c for _, c in items)}")
+        lines.append(f"total={total}")
         _emit(args, "\n".join(lines))
     return 0
 
@@ -413,6 +446,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InternalInconsistency, InexactDivision, NonDivisibleWeight) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except decimal.DecimalException as exc:
+        print(f"error: exact decimal arithmetic failed ({type(exc).__name__})", file=sys.stderr)
         return 3
     except QfrmError as exc:
         print(f"error: {exc}", file=sys.stderr)

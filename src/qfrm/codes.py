@@ -9,7 +9,11 @@ the first-order code the form leads) and from ``forms.zero_count_formula``
 for hrm2 and prm2. Every family also has a brute-force codeword
 enumerator, the independent oracle, which lists only the quadratic parts
 of the codewords and reads every weight from their affine-shift counts
-(``forms.affine_shift_counts``). Frequencies are exact big integers.
+(``forms.affine_shift_counts``). Frequencies are exact: ints from the
+library, and exact ``Decimal`` values when a builder is given the unit
+``Decimal(1)``, as ``qfrm dist`` does under a trapping exact context so
+that its tables print in linear time. Either way one code path builds
+and checks them.
 
 Every table is checked as it is built: the frequencies must total q^k,
 which sees every census count of rank >= 1, and must satisfy the first
@@ -20,6 +24,7 @@ of shipping a wrong table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -73,14 +78,15 @@ class WeightDistribution:
 
     def __post_init__(self):
         self.entries = {w: f for w, f in sorted(self.entries.items()) if f}
-        if self.entries.get(0) != 1:
+        unit = self.entries.get(0)  # 1 in the type of the frequencies
+        if unit != 1:
             raise InternalInconsistency("weight 0 must occur exactly once")
         if any(f < 0 for f in self.entries.values()):
             raise InternalInconsistency("negative frequency")
         if any(not 0 <= w <= self.params.n for w in self.entries):
             raise InternalInconsistency("weight outside [0, n]")
         total = sum(self.entries.values())
-        if total != self.q ** self.params.k:
+        if total != (unit * self.q) ** self.params.k:
             raise InternalInconsistency(f"frequencies total {total}, expected q^k")
         # first Pless power moment (B_1 = 0 of the dual): a coordinate that is
         # not zero on the whole code is nonzero in (q - 1)/q of the words; the
@@ -157,22 +163,24 @@ _LABEL_TAGS = {label: tag for tag, label in TYPE_LABELS.items()} | {"odd_total":
 
 # -- closed-form distributions -----------------------------------------------------
 
-def _tally(q: int, m: int, rows) -> dict[int, int]:
+def _tally(q: int, m: int, rows, unit) -> dict[int, int]:
     """Sum over the census classes of count x rows(rank, tag), where rows
     lists the (zero count, multiplicity) pairs of the words one form of
     the class leads; each family turns zero counts into weights once."""
+    # an int table reads census_formula(q, m), its default unit
+    census = census_formula(q, m, unit) if isinstance(unit, Decimal) else census_formula(q, m)
     tally: dict[int, int] = {}
-    for (rank, label), count in census_formula(q, m).entries.items():
+    for (rank, label), count in census.entries.items():
         for v, mult in rows(rank, _LABEL_TAGS[label]):
             tally[v] = tally.get(v, 0) + count * mult
     return tally
 
 
-def _form_tally(q: int, m: int) -> dict[int, int]:
-    return _tally(q, m, lambda rank, tag: ((zero_count_formula(rank, tag, q, m), 1),))
+def _form_tally(q: int, m: int, unit) -> dict[int, int]:
+    return _tally(q, m, lambda rank, tag: ((zero_count_formula(rank, tag, q, m), 1),), unit)
 
 
-def rm2_distribution(q: int, m: int) -> WeightDistribution:
+def rm2_distribution(q: int, m: int, unit=1) -> WeightDistribution:
     """Weight distribution of the full second-order code: each form Q leads
     the q^(m+1) words Q + L + c, whose weights are q^m minus the zero
     counts of its ``merged_rows``."""
@@ -186,42 +194,45 @@ def rm2_distribution(q: int, m: int) -> WeightDistribution:
             raise InternalInconsistency(f"coset rows of rank {rank} are negative or miss q^(m+1)")
         return merged
 
-    tally = _tally(q, m, rows)
+    tally = _tally(q, m, rows, unit)
     if q == 2:
         # x_i^2 = x_i over GF(2), so 2^m forms lead each coset of RM(1, m)
         tally = {v: _exact_div(f, n) for v, f in tally.items()}
     return WeightDistribution("rm2", q, m, params, {n - v: f for v, f in tally.items()})
 
 
-def hrm2_distribution(q: int, m: int) -> WeightDistribution:
+def hrm2_distribution(q: int, m: int, unit=1) -> WeightDistribution:
     """Weight distribution of the homogeneous degree-2 code: one codeword
     per quadratic form, weight q^m minus its zero count."""
     params = code_parameters("hrm2", q, m)
     n = q ** m
-    return WeightDistribution("hrm2", q, m, params, {n - v: f for v, f in _form_tally(q, m).items()})
+    return WeightDistribution("hrm2", q, m, params, {n - v: f for v, f in _form_tally(q, m, unit).items()})
 
 
-def prm2_distribution(q: int, m: int) -> WeightDistribution:
+def prm2_distribution(q: int, m: int, unit=1) -> WeightDistribution:
     """Weight distribution of the projective degree-2 code: the hrm2 weights
     over m + 1 variables, each divided by q - 1, since every projective
     point stands for q - 1 nonzero points."""
     params = code_parameters("prm2", q, m)
     n = q ** (m + 1)
     entries = {}
-    for v, f in _form_tally(q, m + 1).items():
+    for v, f in _form_tally(q, m + 1, unit).items():
         if (n - v) % (q - 1):
             raise NonDivisibleWeight(f"homogeneous weight {n - v} not divisible by {q - 1}")
         entries[(n - v) // (q - 1)] = f
     return WeightDistribution("prm2", q, m, params, entries)
 
 
-def distribution(family: str, q: int, m: int) -> WeightDistribution:
+def distribution(family: str, q: int, m: int, unit=1) -> WeightDistribution:
+    """The closed-form table of the family, its frequencies built from
+    ``unit``: 1, or ``Decimal(1)`` under a context that traps Inexact and
+    Rounded, as the CLI's does."""
     if family == "rm2":
-        return rm2_distribution(q, m)
+        return rm2_distribution(q, m, unit)
     if family == "hrm2":
-        return hrm2_distribution(q, m)
+        return hrm2_distribution(q, m, unit)
     if family == "prm2":
-        return prm2_distribution(q, m)
+        return prm2_distribution(q, m, unit)
     raise UnsupportedParameters(f"unknown family {family!r}")
 
 

@@ -192,7 +192,12 @@ def _rows_odd_q_odd_rank(q, m, r, tau, c_kind):
     ]
 
 
-def _scaled(rows, scale, population):
+def _scaled(rows, scale, q, m, size, with_zero):
+    """The multiset of ``rows`` times ``scale`` over the shifts Q + L + c for
+    the ``size`` constants c of a class, checked against its first moment:
+    a point x != 0 is a zero of q^(m-1) of the Q + L + c for each c, and
+    the point 0 of all q^m when c = 0 (``with_zero``)."""
+    n = q ** m
     out: Counter = Counter()
     for value, freq in rows:
         if freq < 0:
@@ -200,7 +205,10 @@ def _scaled(rows, scale, population):
         # an empty row may carry a meaningless value, such as q ** -1 at m = 0
         if freq:
             out[value] += freq * scale
-    return SpectrumMultiset(dict(out), population)
+    spectrum = SpectrumMultiset(dict(out), size * n)
+    if sum(v * k for v, k in spectrum.entries.items()) != size * (n - 1) * n // q + n * with_zero:
+        raise InternalInconsistency("zero counts break the first moment")
+    return spectrum
 
 
 def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
@@ -216,7 +224,7 @@ def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
     else:
         rows = _rows_odd_q_odd_rank(q, m, r, tau, query.c_class)
     size = query.class_size()
-    return _scaled(rows, size, size * q ** m)
+    return _scaled(rows, size, q, m, size, c_is_zero)
 
 
 def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
@@ -243,7 +251,7 @@ def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
 def spectrum_merged(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:
     """Zero-count multiset over all q^(m+1) shifts Q + L + c, c ranging over GF(q)."""
     validate_rank_type(q, m, rank, type_tag)
-    return _scaled(merged_rows(q, m, rank, type_tag), 1, q ** (m + 1))
+    return _scaled(merged_rows(q, m, rank, type_tag), 1, q, m, q, True)
 
 
 def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:

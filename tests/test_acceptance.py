@@ -138,11 +138,12 @@ def test_criterion_7_classification_equivalence_invariance():
                     done += 1
 
 
-def test_criterion_8_balanced_row_double_entry_never_fires():
-    # the rm2 builder raises InternalInconsistency if the explicit balanced-row
-    # expression disagrees with q^k minus the other rows; sweeping the full
-    # criterion-5 grid must construct every table without that error
-    with criterion(8, "balanced-row double entry silent across the sweep", 10):
+def test_criterion_8_rm2_table_checks_never_fire():
+    # the rm2 builder raises InternalInconsistency if a class's coset rows are
+    # negative or miss q^(m+1), or if the table misses its q^k mass, its first
+    # power moment or its minimum weight; sweeping the full criterion-5 grid
+    # must construct every table without that error
+    with criterion(8, "rm2 table checks silent across the sweep", 10):
         for q, m in SWEEP:
             if q == 2:
                 if m >= 2:

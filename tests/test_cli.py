@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, determinism."""
 
+import decimal
 import hashlib
 import json
 import math
@@ -7,14 +8,16 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import qfrm
-from qfrm import codes, forms, verify
+from qfrm import cli, codes, forms, spectra, verify
+from qfrm.census import census_formula
 from qfrm.cli import MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
-from qfrm.codes import rm2_distribution
+from qfrm.codes import distribution, rm2_distribution
 from qfrm.field import MAX_ORDER
 from qfrm.forms import affine_shift_steps, triangle_size
 
@@ -234,6 +237,74 @@ def test_dist_refuses_a_shifted_zero_count(capsys, monkeypatch, family, q):
     assert err.startswith("error: ") and "power moment" in err
 
 
+def test_dist_exits_3_on_a_nan_zero_count(capsys, monkeypatch):
+    # a NaN reaching the exact decimal context raises there, and the command
+    # exits 3 with one error line, no traceback
+    monkeypatch.setattr(codes, "zero_count_formula", lambda *args: Decimal("NaN"))
+    code, out, err = run(capsys, "dist", "--family", "hrm2", "--q", "3", "--m", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: exact decimal arithmetic failed (InvalidOperation)\n"
+
+
+def test_count_exits_3_on_a_nan_census_count(capsys, monkeypatch):
+    real = cli.census_formula
+
+    def census_formula(*args):
+        table = real(*args)
+        table.entries[(2, "minus")] = Decimal("NaN")
+        return table
+
+    monkeypatch.setattr(cli, "census_formula", census_formula)
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "count", "--q", "3", "--m", "4", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == "error: exact decimal arithmetic failed (InvalidOperation)\n"
+
+
+def test_count_refuses_a_census_count_one_off(capsys, monkeypatch):
+    real = cli.census_formula
+
+    def census_formula(*args):
+        table = real(*args)
+        table.entries[(3, "odd_total")] += 1
+        return table
+
+    monkeypatch.setattr(cli, "census_formula", census_formula)
+    code, out, err = run(capsys, "count", "--q", "3", "--m", "40")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "q^(m(m+1)/2)" in err
+
+
+def test_dist_and_count_leave_the_callers_decimal_context(capsys):
+    before = decimal.getcontext().copy()
+    for argv in (["dist", "--family", "rm2", "--q", "3", "--m", "4"], ["count", "--q", "3", "--m", "4"]):
+        assert run(capsys, *argv)[0] == 0
+        context = decimal.getcontext()
+        assert (context.prec, context.traps, context.flags) == (before.prec, before.traps, before.flags)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("c_class", ["zero", "nonzero"])
+def test_spectrum_refuses_a_shifted_row_value(capsys, monkeypatch, q, c_class):
+    # one zero count of the even-rank rows one too many, its multiplicity kept:
+    # the multiset still totals its population, and only the first moment
+    # sees the shifted value
+    real = spectra._rows_even_rank
+
+    def rows_even_rank(*args):
+        rows = real(*args)
+        rows[1] = (rows[1][0] + 1, rows[1][1])
+        return rows
+
+    monkeypatch.setattr(spectra, "_rows_even_rank", rows_even_rank)
+    code, out, err = run(
+        capsys, "spectrum", "--q", str(q), "--m", "40", "--rank", "4", "--type", "plus",
+        "--c-class", c_class,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "first moment" in err
+
+
 def test_count_full_table(capsys):
     code, out, _ = run(capsys, "count", "--q", "2", "--m", "2")
     assert code == 0
@@ -355,6 +426,59 @@ def test_closed_form_tables_are_byte_identical(capsys):
         code = main(argv)
         digest.update(repr((argv, code, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == CLOSED_FORM_SHA256
+
+
+# the closed-form grid of the cross-route tests: the benchmark's centre pairs,
+# and the fields left out of them at small m
+CROSS_ROUTE_PAIRS = CLOSED_FORM_PAIRS + [(q, m) for q in (7, 16, 25, 27) for m in range(1, 13)]
+
+
+@pytest.mark.parametrize("family", ["rm2", "hrm2", "prm2"])
+@pytest.mark.parametrize("q,m", CROSS_ROUTE_PAIRS)
+def test_dist_prints_the_int_library_table(capsys, family, q, m):
+    # dist builds its table in exact decimal arithmetic, the library in ints;
+    # every printed frequency must be str() of the library's int
+    table = distribution(family, q, m)
+    want = {w: str(f) for w, f in table.entries.items()}
+    head = ["dist", "--family", family, "--q", str(q), "--m", str(m)]
+    code, out, _ = run(capsys, *head)
+    assert code == 0
+    got = {}
+    for term in out.strip().split(" + "):
+        coeff, _, weight = term.partition("Z^")
+        got[int(weight or 0)] = coeff.removesuffix("*") or "1"
+    assert got == want
+    code, out, _ = run(capsys, *head, "--format", "json")
+    assert code == 0
+    got = {e["weight"]: e["frequency"] for e in json.loads(out)["distribution"]}
+    assert got == want
+    code, out, _ = run(capsys, *head, "--format", "csv")
+    assert code == 0
+    got = {int(w): f for w, f in (line.split(",") for line in out.strip().splitlines()[1:])}
+    assert got == want
+
+
+@pytest.mark.parametrize("q,m", CROSS_ROUTE_PAIRS)
+def test_count_prints_the_int_census(capsys, q, m):
+    entries = census_formula(q, m).entries
+    want = {(r, label): str(c) for (r, label), c in entries.items()}
+    head = ["count", "--q", str(q), "--m", str(m)]
+    code, out, _ = run(capsys, *head)
+    assert code == 0
+    *lines, total = out.strip().splitlines()
+    got = {}
+    for line in lines:
+        rank, label, count = (field.split("=")[1] for field in line.split())
+        got[(int(rank), label)] = count
+    assert got == want and total == f"total={sum(entries.values())}"
+    code, out, _ = run(capsys, *head, "--format", "json")
+    assert code == 0
+    got = {(e["rank"], e["type"]): e["count"] for e in json.loads(out)["entries"]}
+    assert got == want
+    code, out, _ = run(capsys, *head, "--format", "csv")
+    assert code == 0
+    rows = (line.split(",") for line in out.strip().splitlines()[1:])
+    assert {(int(r), label): c for r, label, c in rows} == want
 
 
 def test_verify_census(capsys):
