@@ -31,7 +31,6 @@ from .forms import (
     admissible_tags,
     canonical_form,
     classify,
-    diagonalize,
     substitute,
     type_from_diagonal,
     validate_rank_type,

@@ -10,15 +10,14 @@ entry of that table). ``census_exhaustive`` is the oracle for the
 formulas: it enumerates every form as its values on the q^m points, in
 numpy blocks, and reads rank and type from point counts alone (the
 bilinear radical and the zero count), sharing no code with ``classify``.
-Odd ranks over odd q are stored under a merged ``odd_total`` key; the
-exhaustive pass also records the per-type split, which is informative
-only and never compared against a formula.
+Odd ranks over odd q are stored under a merged ``odd_total`` key, since
+the coset and weight structure does not depend on their type.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,24 +74,12 @@ class CensusTable:
     q: int
     m: int
     entries: dict[tuple[int, str], int]
-    # per-type split of odd ranks over odd q, informative only
-    odd_split: dict[tuple[int, str], int] | None = dc_field(default=None, compare=False)
 
     def total(self) -> int:
         return sum(self.entries.values())
 
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0][0], LABEL_ORDER[kv[0][1]]))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "m": self.m,
-            "entries": [
-                {"rank": rank, "type": label, "count": str(count)}
-                for (rank, label), count in self.sorted_items()
-            ],
-        }
 
 
 def _odd_rank_label(q: int) -> str:
@@ -191,14 +178,8 @@ def census_exhaustive(q: int, m: int, max_evals: int = DEFAULT_EVAL_BUDGET) -> C
         tally += np.bincount(3 * rank + tag + 1, minlength=len(tally))
     label = _odd_rank_label(q)
     entries: dict[tuple[int, str], int] = {}
-    split: dict[tuple[int, str], int] = {}
     for (rank, column), count in np.ndenumerate(tally.reshape(m + 1, 3)):
-        if not count:
-            continue
-        tag = (-1, None, 1)[column]
-        if rank % 2:
-            entries[(rank, label)] = entries.get((rank, label), 0) + int(count)
-            split[(rank, TYPE_LABELS[tag])] = int(count)
-        else:
-            entries[(rank, TYPE_LABELS[tag])] = int(count)
-    return CensusTable(q, m, entries, odd_split=split if q % 2 else None)
+        if count:
+            key = (rank, label if rank % 2 else TYPE_LABELS[(-1, None, 1)[column]])
+            entries[key] = entries.get(key, 0) + int(count)
+    return CensusTable(q, m, entries)

@@ -256,6 +256,10 @@ def _infer_tag(q: int, rank: int, type_name: str | None):
 
 
 def _cmd_spectrum(args) -> int:
+    if args.m < 0:
+        raise OutOfRange(f"m must be >= 0, got {args.m}")
+    if not 0 <= args.rank <= args.m:
+        raise InconsistentRankType(f"rank {args.rank} outside [0, {args.m}]")
     _check_output_size(args.q, args.m + 1)
     tag = _infer_tag(args.q, args.rank, args.type)
     if args.c_class == "merged":

@@ -24,7 +24,6 @@ of shipping a wrong table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
@@ -167,10 +166,8 @@ def _tally(q: int, m: int, rows, unit) -> dict[int, int]:
     """Sum over the census classes of count x rows(rank, tag), where rows
     lists the (zero count, multiplicity) pairs of the words one form of
     the class leads; each family turns zero counts into weights once."""
-    # an int table reads census_formula(q, m), its default unit
-    census = census_formula(q, m, unit) if isinstance(unit, Decimal) else census_formula(q, m)
     tally: dict[int, int] = {}
-    for (rank, label), count in census.entries.items():
+    for (rank, label), count in census_formula(q, m, unit).entries.items():
         for v, mult in rows(rank, _LABEL_TAGS[label]):
             tally[v] = tally.get(v, 0) + count * mult
     return tally

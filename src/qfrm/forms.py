@@ -1,8 +1,8 @@
 """Quadratic forms on GF(q)^m: representation, rank and type
 classification (over odd q by two eliminations per form, the matrix rank
-and a congruence diagonalisation; over even q by one symplectic
-reduction), canonical representatives, substitutions, and exact zero
-counts.
+and the diagonal of a congruence reduction; over even q by one
+symplectic reduction), canonical representatives, linear changes of
+variables, and exact zero counts.
 
 A form is stored as its upper-triangle coefficient table c[i][j], i <= j,
 row-major. For even q that table is the unique representation
@@ -97,17 +97,6 @@ def _mat_mul(field, A, B):
                     if row_b[j]:
                         row_o[j] = field.add(row_o[j], field.mul(a, row_b[j]))
     return out
-
-
-def _mat_vec(field, A, x):
-    out = []
-    for row in A:
-        acc = 0
-        for a, v in zip(row, x):
-            if a and v:
-                acc = field.add(acc, field.mul(a, v))
-        out.append(acc)
-    return tuple(out)
 
 
 # -- domain types --------------------------------------------------------------
@@ -208,13 +197,6 @@ class Substitution:
             raise DimensionMismatch("matrix entry outside the field")
         if _matrix_rank(self.field, self.matrix) != self.m:
             raise SingularSubstitution("substitution matrix is singular")
-
-    @classmethod
-    def identity(cls, field, m):
-        return cls(field, m, tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
-
-    def apply(self, x):
-        return _mat_vec(self.field, self.matrix, x)
 
 
 def validate_rank_type(q: int, m: int, rank: int, type_tag) -> None:
@@ -363,7 +345,7 @@ def affine_shift_steps(q: int, m: int) -> int:
 
 # -- diagonalisation and type (odd q) ---------------------------------------------
 
-def _apply_transvection(field, C, A, i, j, t):
+def _apply_transvection(field, C, i, j, t):
     # congruence by T = I + t*E_ij: column j += t*column i, then row j += t*row i
     m = len(C)
     for r in range(m):
@@ -372,31 +354,25 @@ def _apply_transvection(field, C, A, i, j, t):
     for c in range(m):
         if C[i][c]:
             C[j][c] = field.add(C[j][c], field.mul(t, C[i][c]))
-    for r in range(m):
-        if A[r][i]:
-            A[r][j] = field.add(A[r][j], field.mul(t, A[r][i]))
 
 
-def _apply_swap(C, A, i, j):
+def _apply_swap(C, i, j):
     for row in C:
         row[i], row[j] = row[j], row[i]
     C[i], C[j] = C[j], C[i]
-    for row in A:
-        row[i], row[j] = row[j], row[i]
 
 
 def _congruence(form: QuadraticForm):
-    """Congruence reduction of an odd-q form: (nonzero diagonal
-    coefficients, rows of A) with Q(A y) = sum_i a_i y_i^2. Pivoting is
-    deterministic: smallest available diagonal index first; if the active
-    block has a zero diagonal, the smallest cross term is folded onto the
-    diagonal by the variable change x_i -> x_i + x_j. A is not checked
-    here; ``diagonalize`` validates it.
+    """Congruence reduction of an odd-q form: the nonzero diagonal
+    coefficients a_i of a form sum_i a_i y_i^2 congruent to it. Pivoting
+    is deterministic: smallest available diagonal index first; if the
+    active block has a zero diagonal, the smallest cross term is folded
+    onto the diagonal by the variable change x_i -> x_i + x_j. The change
+    of variables itself is not kept.
     """
     fld = form.field
     m = form.m
     C = form.symmetric_matrix()
-    A = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     k = 0
     while k < m:
         piv = next((i for i in range(k, m) if C[i][i]), None)
@@ -406,29 +382,16 @@ def _congruence(form: QuadraticForm):
             )
             if cross is None:
                 break
-            _apply_transvection(fld, C, A, cross[0], cross[1], 1)
+            _apply_transvection(fld, C, cross[0], cross[1], 1)
             continue
         if piv != k:
-            _apply_swap(C, A, k, piv)
+            _apply_swap(C, k, piv)
         inv = fld.inv(C[k][k])
         for l in range(k + 1, m):
             if C[k][l]:
-                _apply_transvection(fld, C, A, k, l, fld.neg(fld.mul(C[k][l], inv)))
+                _apply_transvection(fld, C, k, l, fld.neg(fld.mul(C[k][l], inv)))
         k += 1
-    return tuple(C[i][i] for i in range(k)), A
-
-
-def diagonalize(form: QuadraticForm):
-    """Congruence-reduce an odd-q form to sum a_i x_i^2.
-
-    Returns (nonzero diagonal coefficients, substitution A) with
-    Q(A y) = sum_i a_i y_i^2, A validated as a ``Substitution``; the
-    pivoting is that of ``_congruence``.
-    """
-    if form.field.p == 2:
-        raise EvenCharacteristic("diagonalisation requires odd characteristic")
-    diag, A = _congruence(form)
-    return diag, Substitution(form.field, form.m, tuple(tuple(r) for r in A))
+    return tuple(C[i][i] for i in range(k))
 
 
 def type_from_diagonal(field: FiniteField, coefficients) -> int:
@@ -505,12 +468,10 @@ def classify(form: QuadraticForm) -> RankType:
     Odd q: two eliminations. The rank is the rank of the coefficient
     matrix C (the polar Gram matrix is 2C, and 2 is a unit), and the type
     is read from a congruence diagonalisation, whose length must equal
-    that rank; its substitution is not needed, so it is not validated (a
-    singular one would shorten the diagonal). Even q: one symplectic
-    reduction gives the rank and the Arf invariant, and an even rank has
-    type +1 exactly when the Arf invariant has absolute trace 0 (Lidl and
-    Niederreiter, Finite Fields, ch. 6). Both cost O(m^3) field
-    operations; no point of GF(q)^m is enumerated.
+    that rank. Even q: one symplectic reduction gives the rank and the Arf
+    invariant, and an even rank has type +1 exactly when the Arf invariant
+    has absolute trace 0 (Lidl and Niederreiter, Finite Fields, ch. 6).
+    Both cost O(m^3) field operations; no point of GF(q)^m is enumerated.
     """
     fld = form.field
     if fld.p == 2:
@@ -521,7 +482,7 @@ def classify(form: QuadraticForm) -> RankType:
     r = _matrix_rank(fld, form.symmetric_matrix())
     if r == 0:
         return RankType(0, 1)
-    diag, _ = _congruence(form)
+    diag = _congruence(form)
     if len(diag) != r:
         raise InternalInconsistency("diagonal length disagrees with the matrix rank")
     return RankType(r, type_from_diagonal(fld, diag))

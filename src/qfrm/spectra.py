@@ -26,11 +26,11 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     InconsistentQuery,
-    InexactDivision,
     InternalInconsistency,
     UnsupportedForBinary,
     count_text,
 )
+from .census import _exact_div
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
 from .field import field_from_order  # noqa: F401
@@ -55,12 +55,6 @@ def constant_classes(q: int, rank: int) -> tuple[str, ...]:
     return (CLASS_ZERO, CLASS_NONZERO)
 
 
-def _exact_half(n: int) -> int:
-    if n % 2:
-        raise InexactDivision(f"{n} is not even")
-    return n // 2
-
-
 @dataclass
 class SpectrumMultiset:
     """Exact multiset value -> multiplicity with a declared population."""
@@ -79,12 +73,6 @@ class SpectrumMultiset:
 
     def sorted_items(self):
         return sorted(self.entries.items())
-
-    def map_values(self, fn) -> "SpectrumMultiset":
-        out: Counter = Counter()
-        for v, k in self.entries.items():
-            out[fn(v)] += k
-        return SpectrumMultiset(dict(out), self.population)
 
     def to_json_entries(self):
         return [{"value": str(v), "multiplicity": str(k)} for v, k in self.sorted_items()]
@@ -139,13 +127,13 @@ def _rows_even_q_odd_rank(q, m, r, c_is_zero):
     if c_is_zero:
         return [
             (base, q ** m - q ** r + q ** (r - 1)),
-            (base + step, _exact_half((q - 1) * (q ** (r - 1) + s))),
-            (base - step, _exact_half((q - 1) * (q ** (r - 1) - s))),
+            (base + step, _exact_div((q - 1) * (q ** (r - 1) + s), 2)),
+            (base - step, _exact_div((q - 1) * (q ** (r - 1) - s), 2)),
         ]
     return [
         (base, q ** m - q ** r + q ** (r - 1)),
-        (base + step, _exact_half(q ** r - q ** (r - 1) - s)),
-        (base - step, _exact_half(q ** r - q ** (r - 1) + s)),
+        (base + step, _exact_div(q ** r - q ** (r - 1) - s, 2)),
+        (base - step, _exact_div(q ** r - q ** (r - 1) + s, 2)),
     ]
 
 
@@ -234,7 +222,7 @@ def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
     base = q ** (m - 1)
     if rank % 2:
         step = q ** (m - (rank + 1) // 2)
-        each = _exact_half((q - 1) * q ** rank)
+        each = _exact_div((q - 1) * q ** rank, 2)
         return [
             (base, q ** (m + 1) - q ** (rank + 1) + q ** rank),
             (base + step, each),
@@ -263,7 +251,9 @@ def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultis
     """
     if q <= 2:
         raise UnsupportedForBinary("coset weights need q > 2")
-    return spectrum_merged(q, m, rank, type_tag).map_values(lambda v: q ** m - v)
+    merged = spectrum_merged(q, m, rank, type_tag)
+    # v -> q^m - v is one-to-one, so no two zero counts share a weight
+    return SpectrumMultiset({q ** m - v: k for v, k in merged.entries.items()}, merged.population)
 
 
 # -- brute-force oracle ------------------------------------------------------------

@@ -14,7 +14,6 @@ from .codes import (
     DEFAULT_SYMBOL_BUDGET,
     brute_force_distribution,
     coset_assembled_distribution,
-    code_parameters,
     distribution,
     hrm2_distribution,
     prm2_distribution,

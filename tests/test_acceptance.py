@@ -20,7 +20,7 @@ from qfrm.codes import (
 )
 from qfrm.field import field_from_order
 from qfrm.forms import QuadraticForm, Substitution, classify, substitute, triangle_size
-from qfrm.verify import check_census, check_codes, check_spectra
+from qfrm.verify import check_census, check_spectra
 
 GOLDEN = {
     ("rm2", 2, 7): (

@@ -175,7 +175,7 @@ def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
     # the matrix rank and the congruence reduction are two eliminations; a
     # diagonal one coefficient short must be refused, not classified
     real = forms._congruence
-    monkeypatch.setattr(forms, "_congruence", lambda Q: (real(Q)[0][1:], real(Q)[1]))
+    monkeypatch.setattr(forms, "_congruence", lambda Q: real(Q)[1:])
     code, out, err = run(capsys, "classify", "--q", "3", "--m", "2", "--coeffs", "c[1][1]=1")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and "diagonal" in err
@@ -372,6 +372,14 @@ def test_spectrum_inconsistent_class(capsys):
         "--c-class", "nonzero",
     )
     assert code == 2
+    # the ranges of m and rank are checked before the type is inferred
+    for argv, message in [
+        (["--q", "3", "--m", "2", "--rank", "-1"], "error: rank -1 outside [0, 2]\n"),
+        (["--q", "3", "--m", "2", "--rank", "3"], "error: rank 3 outside [0, 2]\n"),
+        (["--q", "3", "--m", "-1", "--rank", "0"], "error: m must be >= 0, got -1\n"),
+    ]:
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert (code, out, err) == (2, "", message)
 
 
 # sha256 of every (argv, exit code, stdout) in _rank_type_sweep, recorded

@@ -242,7 +242,7 @@ def test_one_census_per_table(monkeypatch, build, q, m):
     real = codes.census_formula
     monkeypatch.setattr(codes, "census_formula", lambda *args: calls.append(args) or real(*args))
     build(q, m)
-    assert calls == [(q, m + 1 if build is prm2_distribution else m)]
+    assert [args[:2] for args in calls] == [(q, m + 1 if build is prm2_distribution else m)]
 
 
 # (m, q) order keeps the test ids of the former m x q grid

@@ -14,7 +14,6 @@ from qfrm.census import _rank_and_type
 from qfrm.errors import (
     BudgetExceeded,
     DimensionMismatch,
-    EvenCharacteristic,
     FieldTooLarge,
     InconsistentRankType,
     InternalInconsistency,
@@ -31,7 +30,6 @@ from qfrm.forms import (
     affine_shift_steps,
     canonical_form,
     classify,
-    diagonalize,
     substitute,
     triangle_pairs,
     triangle_size,
@@ -87,6 +85,22 @@ def random_substitution(rng, field, m):
             return Substitution(field, m, rows)
         except SingularSubstitution:
             continue
+
+
+def identity_substitution(field, m):
+    return Substitution(field, m, tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
+
+
+def apply_substitution(sub, x):
+    """The point A x, for the matrix A of ``sub``."""
+    fld = sub.field
+    out = []
+    for row in sub.matrix:
+        acc = 0
+        for a, v in zip(row, x):
+            acc = fld.add(acc, fld.mul(a, v))
+        out.append(acc)
+    return tuple(out)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -269,37 +283,27 @@ def test_zero_count_formula_validates():
 
 
 # -- diagonalisation and type ------------------------------------------------------
-
-def sum_of_squares(field, diag, x):
-    acc = 0
-    for a, xi in zip(diag, x):
-        acc = field.add(acc, field.mul(a, field.mul(xi, xi)))
-    return acc
-
+# forms._congruence gives the diagonal of a congruence reduction (odd q)
 
 def test_diagonalize_already_diagonal():
     Q = form(F3, 3, {(0, 0): 1, (1, 1): 2})
-    diag, sub = diagonalize(Q)
-    assert diag == (1, 2)
-    assert sub.matrix == Substitution.identity(F3, 3).matrix
+    assert forms_module._congruence(Q) == (1, 2)
 
 
 def test_diagonalize_zero_form():
-    diag, sub = diagonalize(QuadraticForm.zero(F5, 2))
-    assert diag == ()
-    assert sub.matrix == Substitution.identity(F5, 2).matrix
+    assert forms_module._congruence(QuadraticForm.zero(F5, 2)) == ()
 
 
 def test_diagonalize_hyperbolic():
     Q = form(F3, 2, {(0, 1): F3.inv(2)})  # the function x1 * x2
-    diag, sub = diagonalize(Q)
+    diag = forms_module._congruence(Q)
     assert len(diag) == 2
-    for x in all_vectors(F3, 2):
-        assert Q.evaluate(sub.apply(x)) == sum_of_squares(F3, diag, x)
+    assert type_from_diagonal(F3, diag) == 1
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_diagonalize_identity_pointwise(q):
+    # the census oracle's rank and type, from point counts
     fld = SMALL_FIELDS[q]
     rng = random.Random(q * 13)
     for _ in range(25):
@@ -307,17 +311,11 @@ def test_diagonalize_identity_pointwise(q):
         if fld.q ** m > 4096:
             continue
         Q = random_form(rng, fld, m)
-        diag, sub = diagonalize(Q)
-        ranks, _ = _rank_and_type(fld, m, values_on_domain(Q)[:, None])
-        assert len(diag) == ranks[0]  # the census oracle's rank, from point counts
+        diag = forms_module._congruence(Q)
+        ranks, tags = _rank_and_type(fld, m, values_on_domain(Q)[:, None])
+        assert len(diag) == ranks[0]
         assert all(a != 0 for a in diag)
-        for x in all_vectors(fld, m):
-            assert Q.evaluate(sub.apply(x)) == sum_of_squares(fld, diag, x)
-
-
-def test_diagonalize_rejects_even_characteristic():
-    with pytest.raises(EvenCharacteristic):
-        diagonalize(QuadraticForm.zero(F2, 2))
+        assert type_from_diagonal(fld, diag) == tags[0]
 
 
 def test_type_from_diagonal_examples():
@@ -341,8 +339,7 @@ def test_canonical_diagonal_types_consistent(q):
     for r in range(1, 7):
         for tag in admissible_tags(q, r):
             Q = canonical_form(fld, r, r, tag)
-            diag, _ = diagonalize(Q)
-            assert type_from_diagonal(fld, diag) == tag
+            assert type_from_diagonal(fld, forms_module._congruence(Q)) == tag
 
 
 # -- classify and canonical forms -----------------------------------------------------
@@ -358,7 +355,7 @@ def test_classify_refuses_a_short_diagonal(monkeypatch):
     # the matrix rank and the congruence reduction are two eliminations,
     # and classify compares their results
     real = forms_module._congruence
-    monkeypatch.setattr(forms_module, "_congruence", lambda Q: (real(Q)[0][1:], real(Q)[1]))
+    monkeypatch.setattr(forms_module, "_congruence", lambda Q: real(Q)[1:])
     with pytest.raises(InternalInconsistency):
         classify(canonical_form(F3, 3, 2, -1))
     assert classify(canonical_form(F2, 3, 2, -1)) == RankType(2, -1)  # even q: no diagonal
@@ -366,8 +363,8 @@ def test_classify_refuses_a_short_diagonal(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_odd_classify_makes_two_eliminations(monkeypatch, q):
-    # one _matrix_rank and one congruence reduction per form; the
-    # substitution of the reduction is discarded, so none is built
+    # one _matrix_rank and one congruence reduction per form; the reduction
+    # keeps no change of variables, so no Substitution is built
     fld = SMALL_FIELDS[q]
     rank_calls = []
     real_rank = forms_module._matrix_rank
@@ -390,13 +387,6 @@ def test_odd_classify_makes_two_eliminations(monkeypatch, q):
                 rank_calls.clear()
                 classify(Q)
                 assert len(rank_calls) == 1
-
-
-def test_diagonalize_refuses_a_singular_congruence(monkeypatch):
-    # diagonalize validates the substitution it hands out
-    monkeypatch.setattr(forms_module, "_congruence", lambda Q: ((1,), [[1, 0], [1, 0]]))
-    with pytest.raises(SingularSubstitution):
-        diagonalize(form(F3, 2, {(0, 0): 1}))
 
 
 def test_canonical_form_examples():
@@ -453,7 +443,7 @@ def test_substitute_identity():
     rng = random.Random(5)
     for fld, m in [(F2, 3), (F3, 2), (F4, 2), (F5, 3)]:
         Q = random_form(rng, fld, m)
-        assert substitute(Q, Substitution.identity(fld, m)).coeffs == Q.coeffs
+        assert substitute(Q, identity_substitution(fld, m)).coeffs == Q.coeffs
 
 
 def test_substitute_scales_sum_of_squares_by_nonsquare():
@@ -471,7 +461,7 @@ def test_substitute_matches_pointwise_composition():
             A = random_substitution(rng, fld, m)
             QA = substitute(Q, A)
             for x in all_vectors(fld, m):
-                assert QA.evaluate(x) == Q.evaluate(A.apply(x))
+                assert QA.evaluate(x) == Q.evaluate(apply_substitution(A, x))
 
 
 def test_classify_invariant_under_substitution():
