@@ -163,6 +163,14 @@ def _exact(command):
     return run
 
 
+def _check_m_rank(m: int, rank: int | None) -> None:
+    """Refuse a negative m, or a given rank outside [0, m], before any table is built."""
+    if m < 0:
+        raise OutOfRange(f"m must be >= 0, got {m}")
+    if rank is not None and not 0 <= rank <= m:
+        raise InconsistentRankType(f"rank {rank} outside [0, {m}]")
+
+
 @_exact
 def _cmd_dist(args) -> int:
     _check_output_size(args.q, code_dimension(args.family, args.q, args.m))
@@ -209,8 +217,7 @@ def _cmd_classify(args) -> int:
 
 @_exact
 def _cmd_count(args) -> int:
-    if args.m < 0:
-        raise OutOfRange(f"m must be >= 0, got {args.m}")
+    _check_m_rank(args.m, args.rank)
     _check_output_size(args.q, triangle_size(args.m))
     table = census_formula(args.q, args.m, Decimal(1))
     total = table.total()
@@ -223,9 +230,9 @@ def _cmd_count(args) -> int:
         labels = [label for (rank, label), _ in items if rank == args.rank]
         wanted = [label for label in labels if args.type in (None, label)]
         if len(wanted) != 1:
+            asked = f"rank={args.rank}" + (f" type={args.type}" if args.type else "")
             raise InconsistentRankType(
-                f"no single census class for rank={args.rank} type={args.type}; "
-                f"rank {args.rank} has classes: {' '.join(labels) or 'none'}"
+                f"no single census class for {asked}; rank {args.rank} has classes: {' '.join(labels)}"
             )
         key = (args.rank, wanted[0])
         items = [(key, table.entries[key])]
@@ -256,10 +263,7 @@ def _infer_tag(q: int, rank: int, type_name: str | None):
 
 
 def _cmd_spectrum(args) -> int:
-    if args.m < 0:
-        raise OutOfRange(f"m must be >= 0, got {args.m}")
-    if not 0 <= args.rank <= args.m:
-        raise InconsistentRankType(f"rank {args.rank} outside [0, {args.m}]")
+    _check_m_rank(args.m, args.rank)
     _check_output_size(args.q, args.m + 1)
     tag = _infer_tag(args.q, args.rank, args.type)
     if args.c_class == "merged":

@@ -3,16 +3,20 @@ function, split by the class of the constant term, plus the weight
 multiset of the matching first-order-code coset.
 
 The closed forms depend only on (q, m, rank, type, class), all behind
-``spectrum_formula``, for the classes that ``constant_classes`` names. The
-brute-force oracle ``spectrum_oracle`` counts instead: one call of
-``forms.affine_shift_counts`` per form gives the zero count of Q + L + c
-for every linear functional L and constant c at once, exactly, for
-q <= 1024. The last form's table is kept, so the calls for each class
-of one form and ``merged_oracle`` read one transform. A class multiset
-covers the whole class: the single constant 0 for ``zero``, the (q-1)/2
-square or nonsquare constants, or all q-1 nonzero constants for
-``nonzero``, so oracle and formula agree entrywise. The oracle's budget
-counts ``forms.affine_shift_steps(q, m)``, the transform steps per form.
+``spectrum_formula``, for the classes that ``constant_classes`` names.
+Three row sets are hand-derived: ``merged_rows`` over every constant (the
+rows the rm2 table reads), the zero class, and the square class at odd
+rank over odd q. The last class, ``nonzero`` or ``nonsquare``, is the
+merged rows minus the others. The brute-force oracle ``spectrum_oracle``
+counts instead: one call of ``forms.affine_shift_counts`` per form gives
+the zero count of Q + L + c for every linear functional L and constant c
+at once, exactly, for q <= 1024. The last form's table is kept, so the
+calls for each class of one form and ``merged_oracle`` read one
+transform. A class multiset covers the whole class: the single constant
+0 for ``zero``, the (q-1)/2 square or nonsquare constants, or all q-1
+nonzero constants for ``nonzero``, so oracle and formula agree
+entrywise. The oracle's budget counts ``forms.affine_shift_steps(q, m)``,
+the transform steps per form.
 """
 
 from __future__ import annotations
@@ -112,87 +116,68 @@ class CosetQuery:
         return (self.q - 1) // 2
 
 
-# -- per-constant rows (frequencies for a single c of the class) -----------------
+# -- class rows: (zero count, multiplicity) summed over the constants of a class --
 
-def _rows_rank0(q, m, c_is_zero):
-    if c_is_zero:
-        return [(q ** m, 1), (q ** (m - 1), q ** m - 1)]
-    return [(0, 1), (q ** (m - 1), q ** m - 1)]
-
-
-def _rows_even_q_odd_rank(q, m, r, c_is_zero):
-    base = q ** (m - 1)
-    step = q ** (m - (r + 1) // 2)
-    s = q ** ((r - 1) // 2)
-    if c_is_zero:
+def _zero_rows(q, m, r, tau):
+    """Rows of Q + L over every linear L: the single constant 0."""
+    n = q ** m
+    base = n // q
+    if r == 0:
+        return [(n, 1), (base, n - 1)]
+    if r % 2 == 0:
+        step = tau * q ** (m - (r + 2) // 2)
+        s = tau * q ** ((r - 2) // 2)
         return [
-            (base, q ** m - q ** r + q ** (r - 1)),
-            (base + step, _exact_div((q - 1) * (q ** (r - 1) + s), 2)),
-            (base - step, _exact_div((q - 1) * (q ** (r - 1) - s), 2)),
+            (base, n - q ** r),
+            (base + step * (q - 1), q ** (r - 1) + s * (q - 1)),
+            (base - step, (q - 1) * (q ** (r - 1) - s)),
         ]
+    # odd rank: over even q, whose odd ranks are untyped, the rows of type +1
+    step = (tau or 1) * q ** (m - (r + 1) // 2)
+    s = (tau or 1) * q ** ((r - 1) // 2)
     return [
-        (base, q ** m - q ** r + q ** (r - 1)),
-        (base + step, _exact_div(q ** r - q ** (r - 1) - s, 2)),
-        (base - step, _exact_div(q ** r - q ** (r - 1) + s, 2)),
+        (base, n - q ** r + q ** (r - 1)),
+        (base + step, _exact_div((q - 1) * (q ** (r - 1) + s), 2)),
+        (base - step, _exact_div((q - 1) * (q ** (r - 1) - s), 2)),
     ]
 
 
-def _rows_even_rank(q, m, r, tau, c_is_zero):
-    # even rank rows share one shape for even and odd q
-    base = q ** (m - 1)
-    step = q ** (m - (r + 2) // 2)
-    s = q ** ((r - 2) // 2)
-    if c_is_zero:
-        return [
-            (base, q ** m - q ** r),
-            (base + tau * step * (q - 1), q ** (r - 1) + tau * s * (q - 1)),
-            (base - tau * step, (q - 1) * (q ** (r - 1) - tau * s)),
-        ]
-    return [
-        (base, q ** m - q ** r),
-        (base + tau * step * (q - 1), q ** (r - 1) - tau * s),
-        (base - tau * step, (q - 1) * q ** (r - 1) + tau * s),
-    ]
-
-
-def _rows_odd_q_odd_rank(q, m, r, tau, c_kind):
-    base = q ** (m - 1)
-    step = q ** (m - (r + 1) // 2)
-    s = q ** ((r - 1) // 2)
+def _square_rows(q, m, r, tau):
+    """Rows over the (q-1)/2 square constants at odd rank over odd q: per
+    constant, the type correction lands on the whole count, outside the half."""
+    base = q ** m // q
     half = (q - 1) // 2
-    if c_kind == CLASS_ZERO:
-        return [
-            (base, q ** m - q ** r + q ** (r - 1)),
-            (base + tau * step, half * (q ** (r - 1) + tau * s)),
-            (base - tau * step, half * (q ** (r - 1) - tau * s)),
-        ]
-    if c_kind == CLASS_SQUARE:
-        # the tau correction applies to the whole count, outside the half factor
-        return [
-            (base, q ** m - q ** r + q ** (r - 1) + tau * s),
-            (base + tau * step, half * q ** (r - 1) - tau * s),
-            (base - tau * step, half * q ** (r - 1)),
-        ]
+    step = tau * q ** (m - (r + 1) // 2)
+    s = tau * q ** ((r - 1) // 2)
     return [
-        (base, q ** m - q ** r + q ** (r - 1) - tau * s),
-        (base + tau * step, half * q ** (r - 1)),
-        (base - tau * step, half * q ** (r - 1) + tau * s),
+        (base, half * (q ** m - q ** r + q ** (r - 1) + s)),
+        (base + step, half * (half * q ** (r - 1) - s)),
+        (base - step, half * half * q ** (r - 1)),
     ]
 
 
-def _scaled(rows, scale, q, m, size, with_zero):
-    """The multiset of ``rows`` times ``scale`` over the shifts Q + L + c for
-    the ``size`` constants c of a class, checked against its first moment:
-    a point x != 0 is a zero of q^(m-1) of the Q + L + c for each c, and
-    the point 0 of all q^m when c = 0 (``with_zero``)."""
+def _class_rows(q, m, r, tau, c_class):
+    """Rows over every constant of the class, a value possibly listed twice."""
+    if c_class == CLASS_ZERO:
+        return _zero_rows(q, m, r, tau)
+    if c_class == CLASS_SQUARE:
+        return _square_rows(q, m, r, tau)
+    # the last class: the merged rows less those of the other classes
+    others = constant_classes(q, r)[:-1]
+    return merged_rows(q, m, r, tau) + [
+        (value, -freq) for c in others for value, freq in _class_rows(q, m, r, tau, c)
+    ]
+
+
+def _checked(rows, q, m, size, with_zero):
+    """The multiset of ``rows`` over the shifts Q + L + c for the ``size``
+    constants c of a class, checked against its first moment: a point
+    x != 0 is a zero of q^(m-1) of the Q + L + c for each c, and the point
+    0 of all q^m when c = 0 (``with_zero``)."""
     n = q ** m
     out: Counter = Counter()
     for value, freq in rows:
-        if freq < 0:
-            raise InternalInconsistency("negative row frequency")
-        # an empty row may carry a meaningless value, such as q ** -1 at m = 0
-        if freq:
-            out[value] += freq * scale
+        out[value] += freq
     spectrum = SpectrumMultiset(dict(out), size * n)
     if sum(v * k for v, k in spectrum.entries.items()) != size * (n - 1) * n // q + n * with_zero:
         raise InternalInconsistency("zero counts break the first moment")
@@ -201,25 +186,16 @@ def _scaled(rows, scale, q, m, size, with_zero):
 
 def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
     """Zero-count multiset over {Q + L + c : L linear, c in the class}."""
-    q, m, r, tau = query.q, query.m, query.rank, query.type_tag
-    c_is_zero = query.c_class == CLASS_ZERO
-    if r == 0:
-        rows = _rows_rank0(q, m, c_is_zero)
-    elif r % 2 == 0:
-        rows = _rows_even_rank(q, m, r, tau, c_is_zero)
-    elif q % 2 == 0:
-        rows = _rows_even_q_odd_rank(q, m, r, c_is_zero)
-    else:
-        rows = _rows_odd_q_odd_rank(q, m, r, tau, query.c_class)
-    size = query.class_size()
-    return _scaled(rows, size, q, m, size, c_is_zero)
+    q, m = query.q, query.m
+    rows = _class_rows(q, m, query.rank, query.type_tag, query.c_class)
+    return _checked(rows, q, m, query.class_size(), query.c_class == CLASS_ZERO)
 
 
 def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
     """Rows (zero count, multiplicity) of ``spectrum_merged``, unchecked."""
+    base = q ** m // q
     if rank == 0:
-        return [(q ** m, 1), (0, q - 1), (q ** (m - 1), q * (q ** m - 1))]
-    base = q ** (m - 1)
+        return [(q ** m, 1), (0, q - 1), (base, q * (q ** m - 1))]
     if rank % 2:
         step = q ** (m - (rank + 1) // 2)
         each = _exact_div((q - 1) * q ** rank, 2)
@@ -239,7 +215,7 @@ def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
 def spectrum_merged(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:
     """Zero-count multiset over all q^(m+1) shifts Q + L + c, c ranging over GF(q)."""
     validate_rank_type(q, m, rank, type_tag)
-    return _scaled(merged_rows(q, m, rank, type_tag), 1, q, m, q, True)
+    return _checked(merged_rows(q, m, rank, type_tag), q, m, q, True)
 
 
 def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:

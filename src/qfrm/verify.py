@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import DEFAULT_EVAL_BUDGET, census_exhaustive, census_formula
+from .census import census_exhaustive, census_formula
 from .codes import (
     DEFAULT_SYMBOL_BUDGET,
     brute_force_distribution,
@@ -58,10 +58,10 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def check_census(q, m, max_evals=DEFAULT_EVAL_BUDGET):
+def check_census(q, m):
     name = f"census q={q} m={m}"
     try:
-        exhaustive = census_exhaustive(q, m, max_evals=max_evals)
+        exhaustive = census_exhaustive(q, m)
     except BudgetExceeded as exc:
         return [CheckResult(name, True, str(exc), skipped=True)]
     formula = census_formula(q, m)

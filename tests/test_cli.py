@@ -286,23 +286,28 @@ def test_dist_and_count_leave_the_callers_decimal_context(capsys):
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("c_class", ["zero", "nonzero"])
 def test_spectrum_refuses_a_shifted_row_value(capsys, monkeypatch, q, c_class):
-    # one zero count of the even-rank rows one too many, its multiplicity kept:
-    # the multiset still totals its population, and only the first moment
-    # sees the shifted value
-    real = spectra._rows_even_rank
+    # one zero count of the rank-4 rows one too many, its multiplicity kept.
+    # Shifted zero-class rows still total their population, and only the
+    # first moment sees the shifted value. A shifted merged row leaves the
+    # nonzero class, the merged rows less the zero class, a negative row.
+    name, reason = {
+        "zero": ("_zero_rows", "first moment"),
+        "nonzero": ("merged_rows", "negative multiplicity"),
+    }[c_class]
+    real = getattr(spectra, name)
 
-    def rows_even_rank(*args):
+    def shifted(*args):
         rows = real(*args)
         rows[1] = (rows[1][0] + 1, rows[1][1])
         return rows
 
-    monkeypatch.setattr(spectra, "_rows_even_rank", rows_even_rank)
+    monkeypatch.setattr(spectra, name, shifted)
     code, out, err = run(
         capsys, "spectrum", "--q", str(q), "--m", "40", "--rank", "4", "--type", "plus",
         "--c-class", c_class,
     )
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "first moment" in err
+    assert err.startswith("error: ") and reason in err
 
 
 def test_count_full_table(capsys):
@@ -372,13 +377,24 @@ def test_spectrum_inconsistent_class(capsys):
         "--c-class", "nonzero",
     )
     assert code == 2
-    # the ranges of m and rank are checked before the type is inferred
+    # the ranges of m and rank are checked before the type is inferred or the
+    # census looked up, and an omitted --type is not named in the refusal
     for argv, message in [
-        (["--q", "3", "--m", "2", "--rank", "-1"], "error: rank -1 outside [0, 2]\n"),
-        (["--q", "3", "--m", "2", "--rank", "3"], "error: rank 3 outside [0, 2]\n"),
-        (["--q", "3", "--m", "-1", "--rank", "0"], "error: m must be >= 0, got -1\n"),
+        (["spectrum", "--q", "3", "--m", "2", "--rank", "-1"], "error: rank -1 outside [0, 2]\n"),
+        (["spectrum", "--q", "3", "--m", "2", "--rank", "3"], "error: rank 3 outside [0, 2]\n"),
+        (["spectrum", "--q", "3", "--m", "-1", "--rank", "0"], "error: m must be >= 0, got -1\n"),
+        (["count", "--q", "3", "--m", "2", "--rank", "-1"], "error: rank -1 outside [0, 2]\n"),
+        (["count", "--q", "3", "--m", "2", "--rank", "3"], "error: rank 3 outside [0, 2]\n"),
+        (
+            ["count", "--q", "3", "--m", "4", "--rank", "2"],
+            "error: no single census class for rank=2; rank 2 has classes: plus minus\n",
+        ),
+        (
+            ["count", "--q", "3", "--m", "4", "--rank", "1", "--type", "plus"],
+            "error: no single census class for rank=1 type=plus; rank 1 has classes: odd_total\n",
+        ),
     ]:
-        code, out, err = run(capsys, "spectrum", *argv)
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", message)
 
 

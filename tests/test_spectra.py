@@ -120,7 +120,9 @@ def test_populations():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_m0_spectra_are_exact(q):
-    # at m = 0 the generic row value q^(m-1) is the float 1/q; it must not leak
+    # at m = 0 a row value written q^(m-1) would be the float 1/q; the rows
+    # write it q^m // q, so every value is an int even where its row is empty
+    assert all(type(v) is int for v, _ in spectra.merged_rows(q, 0, 0, 1))
     parts = [spectrum_merged(q, 0, 0, 1)]
     parts += [spectrum_formula(CosetQuery(q, 0, 0, 1, c)) for c in ("zero", "nonzero")]
     for part in parts:
@@ -154,6 +156,77 @@ def test_odd_rank_merged_is_type_independent(q):
             plus = spectrum_merged(q, m, rank, 1)
             minus = spectrum_merged(q, m, rank, -1)
             assert plus.entries == minus.entries
+
+
+# Per-constant rows of every class, one hand-derived block per (rank shape,
+# class): a derivation of each class independent of spectra's, which takes
+# the last class as the merged rows less the others. At m = 0 a value
+# q^(m-1) is a float, on an empty row only.
+def reference_class_rows(q, m, r, tau, c_class):
+    base = q ** (m - 1)
+    c_is_zero = c_class == "zero"
+    if r == 0:
+        return [(q ** m if c_is_zero else 0, 1), (base, q ** m - 1)]
+    if r % 2 == 0:
+        step = q ** (m - (r + 2) // 2)
+        s = q ** ((r - 2) // 2)
+        if c_is_zero:
+            return [
+                (base, q ** m - q ** r),
+                (base + tau * step * (q - 1), q ** (r - 1) + tau * s * (q - 1)),
+                (base - tau * step, (q - 1) * (q ** (r - 1) - tau * s)),
+            ]
+        return [
+            (base, q ** m - q ** r),
+            (base + tau * step * (q - 1), q ** (r - 1) - tau * s),
+            (base - tau * step, (q - 1) * q ** (r - 1) + tau * s),
+        ]
+    step = q ** (m - (r + 1) // 2)
+    s = q ** ((r - 1) // 2)
+    if q % 2 == 0:
+        up, down = (q - 1) * (q ** (r - 1) + s), (q - 1) * (q ** (r - 1) - s)
+        if not c_is_zero:
+            up, down = q ** r - q ** (r - 1) - s, q ** r - q ** (r - 1) + s
+        assert up % 2 == 0 and down % 2 == 0
+        return [
+            (base, q ** m - q ** r + q ** (r - 1)),
+            (base + step, up // 2),
+            (base - step, down // 2),
+        ]
+    half = (q - 1) // 2
+    if c_is_zero:
+        return [
+            (base, q ** m - q ** r + q ** (r - 1)),
+            (base + tau * step, half * (q ** (r - 1) + tau * s)),
+            (base - tau * step, half * (q ** (r - 1) - tau * s)),
+        ]
+    if c_class == "square":
+        return [
+            (base, q ** m - q ** r + q ** (r - 1) + tau * s),
+            (base + tau * step, half * q ** (r - 1) - tau * s),
+            (base - tau * step, half * q ** (r - 1)),
+        ]
+    return [
+        (base, q ** m - q ** r + q ** (r - 1) - tau * s),
+        (base + tau * step, half * q ** (r - 1)),
+        (base - tau * step, half * q ** (r - 1) + tau * s),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_class_rows_match_the_per_constant_reference(q):
+    # past the oracle's m <= 3: each class multiset is its per-constant rows
+    # times the class size, whichever rows the formula derives it from
+    for m in range(25 if q < 10 else 13):
+        for r in range(m + 1):
+            for tag in admissible_tags(q, r):
+                for c_class in constant_classes(q, r):
+                    query = CosetQuery(q, m, r, tag, c_class)
+                    want = Counter()
+                    for value, freq in reference_class_rows(q, m, r, tag, c_class):
+                        if freq:
+                            want[value] += freq * query.class_size()
+                    assert spectrum_formula(query).entries == want, (m, r, tag, c_class)
 
 
 def test_oracle_invariant_under_substitution():
