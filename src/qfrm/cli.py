@@ -310,6 +310,9 @@ def _parse_range(spec: str | None) -> list[range] | None:
 
 
 def _cmd_verify(args) -> int:
+    for flag, budget in (("--max-points", args.max_points), ("--max-codewords", args.max_codewords)):
+        if budget < 0:
+            raise QfrmError(f"{flag} must be >= 0, got {budget}")
     qs = _parse_range(args.q)
     ms = _parse_range(args.m)
     if (qs is None) != (ms is None):

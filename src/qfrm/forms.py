@@ -1,6 +1,6 @@
 """Quadratic forms on GF(q)^m: representation, rank and type
-classification (over odd q by two eliminations per form, the matrix rank
-and the diagonal of a congruence reduction; over even q by one
+classification (over odd q by two row reductions per form, the
+coefficient matrix and then its pivot block; over even q by one
 symplectic reduction), canonical representatives, linear changes of
 variables, and exact zero counts.
 
@@ -54,16 +54,22 @@ def triangle_pairs(m: int) -> list[tuple[int, int]]:
 # -- linear algebra over a finite field ---------------------------------------
 
 def _row_reduce(field, rows):
-    """In-place reduced row echelon form; returns pivot column list."""
+    """In-place reduced row echelon form; returns the pivot columns and the
+    product of the pivots, negated once per row swap (the determinant, when
+    the matrix is square and nonsingular)."""
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots = []
+    det = 1
     r = 0
     for col in range(n_cols):
         piv = next((i for i in range(r, n_rows) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = field.neg(det)
+        det = field.mul(det, rows[r][col])
         inv = field.inv(rows[r][col])
         rows[r] = [field.mul(inv, v) for v in rows[r]]
         for i in range(n_rows):
@@ -74,14 +80,14 @@ def _row_reduce(field, rows):
         r += 1
         if r == n_rows:
             break
-    return pivots
+    return pivots, det
 
 
 def _matrix_rank(field, matrix):
     rows = [list(row) for row in matrix]
     if not rows:
         return 0
-    return len(_row_reduce(field, rows))
+    return len(_row_reduce(field, rows)[0])
 
 
 def _mat_mul(field, A, B):
@@ -205,10 +211,12 @@ def validate_rank_type(q: int, m: int, rank: int, type_tag) -> None:
         raise InconsistentRankType(f"rank {rank} outside [0, {m}]")
     tags = admissible_tags(q, rank)
     if type_tag not in tags:
-        allowed = " or ".join(repr(t) for t in tags)
-        raise InconsistentRankType(
-            f"rank {rank} over GF({q}) takes type {allowed}, got {type_tag!r}"
-        )
+        allowed = " or ".join(TYPE_LABELS[t] for t in tags)
+        try:
+            got = TYPE_LABELS[type_tag]
+        except (KeyError, TypeError):  # no tag at all: name it as Python does
+            got = repr(type_tag)
+        raise InconsistentRankType(f"rank {rank} over GF({q}) takes type {allowed}, got {got}")
 
 
 # -- exact zero counts -----------------------------------------------------------
@@ -343,56 +351,7 @@ def affine_shift_steps(q: int, m: int) -> int:
     return q if m == 0 else q ** (m + 1) + (m - 1) * q ** (m + 2)
 
 
-# -- diagonalisation and type (odd q) ---------------------------------------------
-
-def _apply_transvection(field, C, i, j, t):
-    # congruence by T = I + t*E_ij: column j += t*column i, then row j += t*row i
-    m = len(C)
-    for r in range(m):
-        if C[r][i]:
-            C[r][j] = field.add(C[r][j], field.mul(t, C[r][i]))
-    for c in range(m):
-        if C[i][c]:
-            C[j][c] = field.add(C[j][c], field.mul(t, C[i][c]))
-
-
-def _apply_swap(C, i, j):
-    for row in C:
-        row[i], row[j] = row[j], row[i]
-    C[i], C[j] = C[j], C[i]
-
-
-def _congruence(form: QuadraticForm):
-    """Congruence reduction of an odd-q form: the nonzero diagonal
-    coefficients a_i of a form sum_i a_i y_i^2 congruent to it. Pivoting
-    is deterministic: smallest available diagonal index first; if the
-    active block has a zero diagonal, the smallest cross term is folded
-    onto the diagonal by the variable change x_i -> x_i + x_j. The change
-    of variables itself is not kept.
-    """
-    fld = form.field
-    m = form.m
-    C = form.symmetric_matrix()
-    k = 0
-    while k < m:
-        piv = next((i for i in range(k, m) if C[i][i]), None)
-        if piv is None:
-            cross = next(
-                ((i, j) for i in range(k, m) for j in range(i + 1, m) if C[i][j]), None
-            )
-            if cross is None:
-                break
-            _apply_transvection(fld, C, cross[0], cross[1], 1)
-            continue
-        if piv != k:
-            _apply_swap(C, k, piv)
-        inv = fld.inv(C[k][k])
-        for l in range(k + 1, m):
-            if C[k][l]:
-                _apply_transvection(fld, C, k, l, fld.neg(fld.mul(C[k][l], inv)))
-        k += 1
-    return tuple(C[i][i] for i in range(k))
-
+# -- type from a diagonal (odd q) -------------------------------------------------
 
 def type_from_diagonal(field: FiniteField, coefficients) -> int:
     """Type of sum a_i x_i^2 from the character of the coefficient product."""
@@ -465,12 +424,17 @@ def _symplectic_reduction(form: QuadraticForm) -> tuple[int, int]:
 def classify(form: QuadraticForm) -> RankType:
     """Rank and type of a form.
 
-    Odd q: two eliminations. The rank is the rank of the coefficient
-    matrix C (the polar Gram matrix is 2C, and 2 is a unit), and the type
-    is read from a congruence diagonalisation, whose length must equal
-    that rank. Even q: one symplectic reduction gives the rank and the Arf
-    invariant, and an even rank has type +1 exactly when the Arf invariant
-    has absolute trace 0 (Lidl and Niederreiter, Finite Fields, ch. 6).
+    Odd q: two row reductions. The first, of the coefficient matrix C
+    (the polar Gram matrix is 2C, and 2 is a unit), gives the rank r and
+    the pivot columns J. C is symmetric, so the block C[J, J] is
+    nonsingular, and Q is the orthogonal sum of its restriction to
+    span{e_j : j in J} and the zero form on the radical. The second
+    reduction, of that block, gives its determinant d, and Q is congruent
+    to d y_1^2 + y_2^2 + ... + y_r^2.
+    A singular block raises InternalInconsistency. Even q: one symplectic
+    reduction gives the rank and the Arf invariant, and an even rank has
+    type +1 exactly when the Arf invariant has absolute trace 0 (Lidl and
+    Niederreiter, Finite Fields, ch. 6).
     Both cost O(m^3) field operations; no point of GF(q)^m is enumerated.
     """
     fld = form.field
@@ -479,13 +443,16 @@ def classify(form: QuadraticForm) -> RankType:
         if r % 2:
             return RankType(r, None)
         return RankType(r, 1 if fld.trace(arf) == 0 else -1)
-    r = _matrix_rank(fld, form.symmetric_matrix())
+    C = form.symmetric_matrix()
+    J, _ = _row_reduce(fld, [list(row) for row in C])
+    r = len(J)
     if r == 0:
         return RankType(0, 1)
-    diag = _congruence(form)
-    if len(diag) != r:
-        raise InternalInconsistency("diagonal length disagrees with the matrix rank")
-    return RankType(r, type_from_diagonal(fld, diag))
+    block = [[C[i][j] for j in J] for i in J]
+    pivots, det = _row_reduce(fld, block)
+    if len(pivots) != r:
+        raise InternalInconsistency("the pivot block of the coefficient matrix is singular")
+    return RankType(r, type_from_diagonal(fld, (det,) + (1,) * (r - 1)))
 
 
 def canonical_form(field: FiniteField, m: int, rank: int, type_tag) -> QuadraticForm:

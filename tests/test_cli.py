@@ -172,13 +172,23 @@ def test_classify_coefficient_cap_keeps_zero_counts_under_the_output_cap():
 
 
 def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
-    # the matrix rank and the congruence reduction are two eliminations; a
-    # diagonal one coefficient short must be refused, not classified
-    real = forms._congruence
-    monkeypatch.setattr(forms, "_congruence", lambda Q: real(Q)[1:])
+    # the rank and the determinant come from two row reductions; a rank
+    # reported one too high leaves a singular pivot block, which must be
+    # refused, not classified
+    real = forms._row_reduce
+    calls = []
+
+    def row_reduce(field, rows):
+        pivots, det = real(field, rows)
+        calls.append(rows)
+        if len(calls) == 1:
+            pivots = pivots + [next(j for j in range(len(rows[0])) if j not in pivots)]
+        return pivots, det
+
+    monkeypatch.setattr(forms, "_row_reduce", row_reduce)
     code, out, err = run(capsys, "classify", "--q", "3", "--m", "2", "--coeffs", "c[1][1]=1")
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and "diagonal" in err
+    assert err.startswith("error: ") and "pivot block" in err
 
 
 @pytest.mark.parametrize(
@@ -392,6 +402,15 @@ def test_spectrum_inconsistent_class(capsys):
         (
             ["count", "--q", "3", "--m", "4", "--rank", "1", "--type", "plus"],
             "error: no single census class for rank=1 type=plus; rank 1 has classes: odd_total\n",
+        ),
+        # a refused type is named by the labels --type takes
+        (
+            ["spectrum", "--q", "2", "--m", "1", "--rank", "1", "--type", "plus"],
+            "error: rank 1 over GF(2) takes type untyped, got plus\n",
+        ),
+        (
+            ["spectrum", "--q", "3", "--m", "1", "--rank", "1", "--type", "untyped"],
+            "error: rank 1 over GF(3) takes type plus or minus, got untyped\n",
         ),
     ]:
         code, out, err = run(capsys, *argv)
@@ -666,6 +685,15 @@ def test_verify_bad_range(capsys):
     # every q is checked to be a prime power before any (q, m) size
     code, _, err = run(capsys, "verify", "--scope", "census", "--q", "2,6", "--m", "0-400")
     assert code == 2 and "6 is not a prime power" in err
+
+
+def test_verify_refuses_a_negative_budget(capsys):
+    # a negative budget would skip every oracle and exit 0; 0 stays valid
+    for flag, value in [("--max-points", "-1"), ("--max-codewords", "-5")]:
+        code, out, err = run(capsys, "verify", "--scope", "all", "--q", "2", "--m", "2", flag, value)
+        assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got {value}\n")
+        code, out, _ = run(capsys, "verify", "--scope", "all", "--q", "2", "--m", "2", flag, "0")
+        assert code == 0 and "failed=0" in out.splitlines()[-1]
 
 
 def test_describe_field(capsys):

@@ -282,28 +282,11 @@ def test_zero_count_formula_validates():
         zero_count_formula(4, 1, 3, 3)  # rank above m
 
 
-# -- diagonalisation and type ------------------------------------------------------
-# forms._congruence gives the diagonal of a congruence reduction (odd q)
-
-def test_diagonalize_already_diagonal():
-    Q = form(F3, 3, {(0, 0): 1, (1, 1): 2})
-    assert forms_module._congruence(Q) == (1, 2)
-
-
-def test_diagonalize_zero_form():
-    assert forms_module._congruence(QuadraticForm.zero(F5, 2)) == ()
-
-
-def test_diagonalize_hyperbolic():
-    Q = form(F3, 2, {(0, 1): F3.inv(2)})  # the function x1 * x2
-    diag = forms_module._congruence(Q)
-    assert len(diag) == 2
-    assert type_from_diagonal(F3, diag) == 1
-
+# -- classification and type (odd q) -------------------------------------------------
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_diagonalize_identity_pointwise(q):
-    # the census oracle's rank and type, from point counts
+    # classify against the census oracle's rank and type, read from point counts
     fld = SMALL_FIELDS[q]
     rng = random.Random(q * 13)
     for _ in range(25):
@@ -311,11 +294,8 @@ def test_diagonalize_identity_pointwise(q):
         if fld.q ** m > 4096:
             continue
         Q = random_form(rng, fld, m)
-        diag = forms_module._congruence(Q)
         ranks, tags = _rank_and_type(fld, m, values_on_domain(Q)[:, None])
-        assert len(diag) == ranks[0]
-        assert all(a != 0 for a in diag)
-        assert type_from_diagonal(fld, diag) == tags[0]
+        assert classify(Q) == RankType(ranks[0], tags[0])
 
 
 def test_type_from_diagonal_examples():
@@ -332,16 +312,6 @@ def test_type_from_diagonal_cross_checked_by_zero_count():
     assert zero_count_exhaustive(Q) == zero_count_formula(2, 1, 5, 2) == 9
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_canonical_diagonal_types_consistent(q):
-    # diagonal reading of each canonical form reproduces its declared type
-    fld = SMALL_FIELDS[q]
-    for r in range(1, 7):
-        for tag in admissible_tags(q, r):
-            Q = canonical_form(fld, r, r, tag)
-            assert type_from_diagonal(fld, forms_module._congruence(Q)) == tag
-
-
 # -- classify and canonical forms -----------------------------------------------------
 
 def test_classify_examples():
@@ -352,28 +322,38 @@ def test_classify_examples():
 
 
 def test_classify_refuses_a_short_diagonal(monkeypatch):
-    # the matrix rank and the congruence reduction are two eliminations,
-    # and classify compares their results
-    real = forms_module._congruence
-    monkeypatch.setattr(forms_module, "_congruence", lambda Q: real(Q)[1:])
+    # the rank and the determinant come from two row reductions; a first
+    # reduction that reports one pivot too many leaves a singular pivot
+    # block, which classify must refuse
+    real = forms_module._row_reduce
+    calls = []
+
+    def row_reduce(field, rows):
+        pivots, det = real(field, rows)
+        calls.append(rows)
+        if len(calls) == 1:
+            pivots = pivots + [next(j for j in range(len(rows[0])) if j not in pivots)]
+        return pivots, det
+
+    monkeypatch.setattr(forms_module, "_row_reduce", row_reduce)
     with pytest.raises(InternalInconsistency):
         classify(canonical_form(F3, 3, 2, -1))
-    assert classify(canonical_form(F2, 3, 2, -1)) == RankType(2, -1)  # even q: no diagonal
+    assert classify(canonical_form(F2, 3, 2, -1)) == RankType(2, -1)  # even q: no row reduction
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_odd_classify_makes_two_eliminations(monkeypatch, q):
-    # one _matrix_rank and one congruence reduction per form; the reduction
-    # keeps no change of variables, so no Substitution is built
+    # one row reduction of the m x m coefficient matrix, then one of its
+    # r x r pivot block; no Substitution is built
     fld = SMALL_FIELDS[q]
-    rank_calls = []
-    real_rank = forms_module._matrix_rank
+    shapes = []
+    real = forms_module._row_reduce
 
-    def matrix_rank(*args):
-        rank_calls.append(args)
-        return real_rank(*args)
+    def row_reduce(field, rows):
+        shapes.append((len(rows), len(rows[0])))
+        return real(field, rows)
 
-    monkeypatch.setattr(forms_module, "_matrix_rank", matrix_rank)
+    monkeypatch.setattr(forms_module, "_row_reduce", row_reduce)
 
     def no_substitution(*args):
         raise AssertionError("classify built a Substitution")
@@ -384,9 +364,9 @@ def test_odd_classify_makes_two_eliminations(monkeypatch, q):
         for _ in range(5):
             Q = random_form(rng, fld, m)
             if any(Q.coeffs):
-                rank_calls.clear()
-                classify(Q)
-                assert len(rank_calls) == 1
+                shapes.clear()
+                r = classify(Q).rank
+                assert shapes == [(m, m), (r, r)]
 
 
 def test_canonical_form_examples():
@@ -418,7 +398,7 @@ def test_classify_canonical_roundtrip(q):
                 assert classify(canonical_form(fld, m, r, tag)) == RankType(r, tag)
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
 def test_classify_past_enumeration_frontier(q):
     # GF(q)^30 has far too many points to count zeros; the class must come
     # back through a random change of variables all the same
