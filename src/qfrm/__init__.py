@@ -27,12 +27,9 @@ from .forms import (
     TYPE_LABELS,
     QuadraticForm,
     RankType,
-    Substitution,
     admissible_tags,
     canonical_form,
     classify,
-    substitute,
-    type_from_diagonal,
     validate_rank_type,
     zero_count_exhaustive,
     zero_count_formula,

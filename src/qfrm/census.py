@@ -75,8 +75,19 @@ class CensusTable:
     m: int
     entries: dict[tuple[int, str], int]
 
+    def __post_init__(self):
+        self.total()
+
     def total(self) -> int:
-        return sum(self.entries.values())
+        """The number of forms counted, checked: every count is at least 1,
+        and they total q^(m(m+1)/2) in the unit of the counts. Under an
+        exact decimal context a NaN count raises at the ordering comparison."""
+        counts = self.entries.values()
+        total = sum(counts)
+        forms = type(total)(self.q) ** triangle_size(self.m)
+        if any(count < 1 for count in counts) or total != forms:
+            raise InternalInconsistency("census counts are not all positive or miss q^(m(m+1)/2)")
+        return total
 
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0][0], LABEL_ORDER[kv[0][1]]))

@@ -221,10 +221,6 @@ def _cmd_count(args) -> int:
     _check_output_size(args.q, triangle_size(args.m))
     table = census_formula(args.q, args.m, Decimal(1))
     total = table.total()
-    # every form is counted once; under the exact context a NaN count raises
-    # at the ordering comparison
-    if min(table.entries.values()) < 1 or total != Decimal(args.q) ** triangle_size(args.m):
-        raise InternalInconsistency("census counts are not all positive or miss q^(m(m+1)/2)")
     items = table.sorted_items()
     if args.rank is not None:
         labels = [label for (rank, label), _ in items if rank == args.rank]

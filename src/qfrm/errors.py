@@ -44,14 +44,6 @@ class DimensionMismatch(QfrmError, ValueError):
     """Vector or coefficient table has the wrong shape."""
 
 
-class SingularSubstitution(QfrmError, ValueError):
-    """Variable substitution matrix is not invertible."""
-
-
-class ZeroCoefficient(QfrmError, ValueError):
-    """Diagonal coefficients must all be nonzero."""
-
-
 class InconsistentRankType(QfrmError, ValueError):
     """A (rank, type) pair violates the classification invariants."""
 

@@ -1,8 +1,8 @@
 """Quadratic forms on GF(q)^m: representation, rank and type
 classification (over odd q by two row reductions per form, the
 coefficient matrix and then its pivot block; over even q by one
-symplectic reduction), canonical representatives, linear changes of
-variables, and exact zero counts.
+symplectic reduction), canonical representatives, and exact zero
+counts.
 
 A form is stored as its upper-triangle coefficient table c[i][j], i <= j,
 row-major. For even q that table is the unique representation
@@ -26,11 +26,8 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
-    EvenCharacteristic,
     InconsistentRankType,
     InternalInconsistency,
-    SingularSubstitution,
-    ZeroCoefficient,
     count_text,
 )
 from .field import FiniteField
@@ -83,28 +80,6 @@ def _row_reduce(field, rows):
     return pivots, det
 
 
-def _matrix_rank(field, matrix):
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    return len(_row_reduce(field, rows)[0])
-
-
-def _mat_mul(field, A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a:
-                row_b = B[t]
-                row_o = out[i]
-                for j in range(m):
-                    if row_b[j]:
-                        row_o[j] = field.add(row_o[j], field.mul(a, row_b[j]))
-    return out
-
-
 # -- domain types --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -137,26 +112,6 @@ class QuadraticForm:
             coeffs[i * m - i * (i + 1) // 2 + j] = v  # row-major, i <= j
         return cls(field, m, tuple(coeffs))
 
-    def evaluate(self, x) -> int:
-        if len(x) != self.m:
-            raise DimensionMismatch(f"point has {len(x)} coordinates, form has {self.m}")
-        fld = self.field
-        add, mul = fld.add, fld.mul
-        odd = fld.p != 2
-        acc = 0
-        k = 0
-        for i in range(self.m):
-            xi = x[i]
-            for j in range(i, self.m):
-                c = self.coeffs[k]
-                k += 1
-                if c and xi and x[j]:
-                    t = mul(c, mul(xi, x[j]))
-                    if odd and j > i:
-                        t = add(t, t)
-                    acc = add(acc, t)
-        return acc
-
     def symmetric_matrix(self):
         """Full m x m coefficient matrix (mirrored upper triangle), as new lists."""
         rows, start = [], 0
@@ -188,21 +143,6 @@ class RankType:
     @property
     def label(self) -> str:
         return TYPE_LABELS[self.type_tag]
-
-
-@dataclass(frozen=True)
-class Substitution:
-    field: FiniteField
-    m: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.matrix) != self.m or any(len(r) != self.m for r in self.matrix):
-            raise DimensionMismatch("substitution matrix must be m x m")
-        if any(not (0 <= v < self.field.q) for r in self.matrix for v in r):
-            raise DimensionMismatch("matrix entry outside the field")
-        if _matrix_rank(self.field, self.matrix) != self.m:
-            raise SingularSubstitution("substitution matrix is singular")
 
 
 def validate_rank_type(q: int, m: int, rank: int, type_tag) -> None:
@@ -351,27 +291,6 @@ def affine_shift_steps(q: int, m: int) -> int:
     return q if m == 0 else q ** (m + 1) + (m - 1) * q ** (m + 2)
 
 
-# -- type from a diagonal (odd q) -------------------------------------------------
-
-def type_from_diagonal(field: FiniteField, coefficients) -> int:
-    """Type of sum a_i x_i^2 from the character of the coefficient product."""
-    if field.p == 2:
-        raise EvenCharacteristic("diagonal type reading requires odd characteristic")
-    coefficients = tuple(coefficients)
-    r = len(coefficients)
-    if r == 0:
-        return 1
-    prod = 1
-    for a in coefficients:
-        if a == 0:
-            raise ZeroCoefficient("diagonal coefficients must be nonzero")
-        prod = field.mul(prod, a)
-    delta = field.quadratic_character(prod)
-    if field.q % 4 == 3 and r % 4 in (2, 3):
-        return -delta
-    return delta
-
-
 # -- symplectic reduction and Arf invariant (even q) ---------------------------------
 
 def _symplectic_reduction(form: QuadraticForm) -> tuple[int, int]:
@@ -430,7 +349,8 @@ def classify(form: QuadraticForm) -> RankType:
     nonsingular, and Q is the orthogonal sum of its restriction to
     span{e_j : j in J} and the zero form on the radical. The second
     reduction, of that block, gives its determinant d, and Q is congruent
-    to d y_1^2 + y_2^2 + ... + y_r^2.
+    to d y_1^2 + y_2^2 + ... + y_r^2, whose type is the quadratic
+    character of (-1)^floor(r/2) d.
     A singular block raises InternalInconsistency. Even q: one symplectic
     reduction gives the rank and the Arf invariant, and an even rank has
     type +1 exactly when the Arf invariant has absolute trace 0 (Lidl and
@@ -452,7 +372,8 @@ def classify(form: QuadraticForm) -> RankType:
     pivots, det = _row_reduce(fld, block)
     if len(pivots) != r:
         raise InternalInconsistency("the pivot block of the coefficient matrix is singular")
-    return RankType(r, type_from_diagonal(fld, (det,) + (1,) * (r - 1)))
+    sign = fld.neg(1) if r // 2 % 2 else 1
+    return RankType(r, fld.quadratic_character(fld.mul(sign, det)))
 
 
 def canonical_form(field: FiniteField, m: int, rank: int, type_tag) -> QuadraticForm:
@@ -494,26 +415,3 @@ def canonical_form(field: FiniteField, m: int, rank: int, type_tag) -> Quadratic
                 tail = 1 if type_tag == 1 else lam
                 entries[(rank - 1, rank - 1)] = field.neg(tail)
     return QuadraticForm.from_entries(field, m, entries)
-
-
-def substitute(form: QuadraticForm, sub: Substitution) -> QuadraticForm:
-    """The form Q' with Q'(x) = Q(A x), in the unique representation: Q(x) =
-    x^T U x (U symmetric over odd q, upper triangular over even q), so Q' is
-    read off M = A^T U A, folding M_ji onto M_ij over even q."""
-    fld = form.field
-    m = form.m
-    if sub.field != fld or sub.m != m:
-        raise DimensionMismatch("substitution does not match the form")
-    A = sub.matrix
-    even = fld.p == 2
-    U = form.symmetric_matrix()
-    if even:
-        for i in range(m):
-            U[i][:i] = [0] * i
-    At = [[A[j][i] for j in range(m)] for i in range(m)]
-    M = _mat_mul(fld, At, _mat_mul(fld, U, A))
-    coeffs = tuple(
-        fld.add(M[i][j], M[j][i]) if even and i != j else M[i][j]
-        for i, j in triangle_pairs(m)
-    )
-    return QuadraticForm(fld, m, coeffs)

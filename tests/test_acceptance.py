@@ -9,6 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 
+from algebra import random_invertible, substitute
+
 from qfrm.codes import (
     brute_force_distribution,
     coset_assembled_distribution,
@@ -19,7 +21,7 @@ from qfrm.codes import (
     weight_enumerator_text,
 )
 from qfrm.field import field_from_order
-from qfrm.forms import QuadraticForm, Substitution, classify, substitute, triangle_size
+from qfrm.forms import QuadraticForm, classify, triangle_size
 from qfrm.verify import check_census, check_spectra
 
 GOLDEN = {
@@ -125,17 +127,9 @@ def test_criterion_7_classification_equivalence_invariance():
             for _ in range(100):
                 form = QuadraticForm(field, m, tuple(rng.randrange(q) for _ in range(size)))
                 expected = classify(form)
-                done = 0
-                while done < 10:
-                    rows = tuple(
-                        tuple(rng.randrange(q) for _ in range(m)) for _ in range(m)
-                    )
-                    try:
-                        sub = Substitution(field, m, rows)
-                    except Exception:
-                        continue
+                for _ in range(10):
+                    sub = random_invertible(rng, field, m)
                     assert classify(substitute(form, sub)) == expected, (q, m)
-                    done += 1
 
 
 def test_criterion_8_rm2_table_checks_never_fire():

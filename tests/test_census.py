@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from algebra import form_values, points
 
 from qfrm.census import (
     CensusTable,
@@ -18,7 +19,7 @@ from qfrm.census import (
 from qfrm.cli import main
 from qfrm.errors import BudgetExceeded, OutOfRange
 from qfrm.field import field_from_order
-from qfrm.forms import QuadraticForm, classify, triangle_size, values_on_domain
+from qfrm.forms import QuadraticForm, classify, triangle_size
 from qfrm.verify import CENSUS_GRID
 
 SWEEP = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in range(0, 9)]
@@ -158,13 +159,12 @@ def test_equality_ignores_split():
 @pytest.mark.parametrize("q,m", CENSUS_GRID + ((4, 3), (5, 3), (7, 2), (8, 2), (9, 2), (16, 2)))
 def test_classify_agrees_with_batched_invariants(q, m):
     # the census oracle reads rank and type from point counts, never through
-    # classify; here those invariants check classify on every form, each
-    # evaluated on its own by values_on_domain
+    # classify; here those invariants check classify on every form, all of
+    # them evaluated on every point by one matrix product over the field
     fld = field_from_order(q)
-    forms = [
-        QuadraticForm(fld, m, coeffs)
-        for coeffs in itertools.product(range(q), repeat=triangle_size(m))
-    ]
-    ranks, tags = _rank_and_type(fld, m, np.stack([values_on_domain(f) for f in forms], axis=1))
+    coeffs = list(itertools.product(range(q), repeat=triangle_size(m)))
+    forms = [QuadraticForm(fld, m, c) for c in coeffs]
+    values = form_values(fld, m, np.array(coeffs), points(fld, m))
+    ranks, tags = _rank_and_type(fld, m, values.T)
     expected = list(zip(ranks.tolist(), tags.tolist()))
     assert [(rt.rank, rt.type_tag or 0) for rt in map(classify, forms)] == expected

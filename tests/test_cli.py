@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import qfrm
-from qfrm import cli, codes, forms, spectra, verify
+from qfrm import census, cli, codes, forms, spectra, verify
 from qfrm.census import census_formula
 from qfrm.cli import MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import distribution, rm2_distribution
@@ -171,7 +171,7 @@ def test_classify_coefficient_cap_keeps_zero_counts_under_the_output_cap():
     assert m * math.log2(MAX_ORDER) <= MAX_OUTPUT_BITS
 
 
-def test_classify_short_diagonal_exits_3(capsys, monkeypatch):
+def test_classify_singular_pivot_block_exits_3(capsys, monkeypatch):
     # the rank and the determinant come from two row reductions; a rank
     # reported one too high leaves a singular pivot block, which must be
     # refused, not classified
@@ -283,6 +283,27 @@ def test_count_refuses_a_census_count_one_off(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "--q", "3", "--m", "40")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "q^(m(m+1)/2)" in err
+
+
+@pytest.mark.parametrize("fault", ["one more form", "an empty class"])
+@pytest.mark.parametrize("command", ["count", "dist"])
+def test_census_refuses_a_corrupt_count_where_it_is_built(capsys, monkeypatch, command, fault):
+    # every census checks itself as it is built, so count and dist both refuse
+    # a count one too many, or a class emptied into another with the total kept
+    class Corrupt(census.CensusTable):
+        def __post_init__(self):
+            if fault == "one more form":
+                self.entries[(2, "minus")] += 1
+            else:
+                self.entries[(1, "odd_total")] += self.entries[(0, "plus")]
+                self.entries[(0, "plus")] = 0
+            super().__post_init__()
+
+    monkeypatch.setattr(census, "CensusTable", Corrupt)
+    argv = ["--q", "3", "--m", "4"] if command == "count" else ["--family", "rm2", "--q", "3", "--m", "4"]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: census counts are not all positive or miss q^(m(m+1)/2)\n"
 
 
 def test_dist_and_count_leave_the_callers_decimal_context(capsys):

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from algebra import evaluate, invertible, mat_mul, points, random_invertible, substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,27 +14,21 @@ from qfrm import forms as forms_module
 from qfrm.census import _rank_and_type
 from qfrm.errors import (
     BudgetExceeded,
-    DimensionMismatch,
     FieldTooLarge,
     InconsistentRankType,
     InternalInconsistency,
-    SingularSubstitution,
-    ZeroCoefficient,
 )
 from qfrm.field import field_new
 from qfrm.forms import (
     QuadraticForm,
     RankType,
-    Substitution,
     admissible_tags,
     affine_shift_counts,
     affine_shift_steps,
     canonical_form,
     classify,
-    substitute,
     triangle_pairs,
     triangle_size,
-    type_from_diagonal,
     values_on_domain,
     zero_count_exhaustive,
     zero_count_formula,
@@ -47,11 +42,6 @@ F5 = field_new(5)
 SMALL_FIELDS = {
     2: F2, 3: F3, 4: F4, 5: F5, 7: field_new(7), 8: field_new(2, 3), 9: field_new(3, 2), 16: field_new(2, 4),
 }
-
-
-def all_vectors(field, m):
-    """The points of GF(q)^m in index order, leftmost coordinate most significant."""
-    return itertools.product(range(field.q), repeat=m)
 
 
 def form(field, m, entries):
@@ -78,50 +68,20 @@ def polar(Q, x, y):
     return acc
 
 
-def random_substitution(rng, field, m):
-    while True:
-        rows = tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(m))
-        try:
-            return Substitution(field, m, rows)
-        except SingularSubstitution:
-            continue
-
-
-def identity_substitution(field, m):
-    return Substitution(field, m, tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))
-
-
-def apply_substitution(sub, x):
-    """The point A x, for the matrix A of ``sub``."""
-    fld = sub.field
-    out = []
-    for row in sub.matrix:
-        acc = 0
-        for a, v in zip(row, x):
-            acc = fld.add(acc, fld.mul(a, v))
-        out.append(acc)
-    return tuple(out)
-
-
-# -- evaluation ----------------------------------------------------------------
+# -- evaluation (the tests' reference in algebra.py) ----------------------------
 
 def test_evaluate_examples():
-    assert QuadraticForm.zero(F3, 2).evaluate((1, 2)) == 0
-    assert form(F2, 2, {(0, 1): 1}).evaluate((1, 1)) == 1
-    assert form(F3, 2, {(0, 0): 1, (1, 1): 2}).evaluate((1, 1)) == 0
+    assert evaluate(QuadraticForm.zero(F3, 2), [(1, 2)]).tolist() == [0]
+    assert evaluate(form(F2, 2, {(0, 1): 1}), [(1, 1)]).tolist() == [1]
+    assert evaluate(form(F3, 2, {(0, 0): 1, (1, 1): 2}), [(1, 1)]).tolist() == [0]
 
 
 def test_odd_q_cross_terms_count_twice():
     # stored c_12 = 1 evaluates as 2 * x1 * x2
     q = form(F3, 2, {(0, 1): 1})
-    assert q.evaluate((1, 1)) == 2
+    assert evaluate(q, [(1, 1)]).tolist() == [2]
     half = F3.inv(2)
-    assert form(F3, 2, {(0, 1): half}).evaluate((1, 1)) == 1
-
-
-def test_evaluate_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        QuadraticForm.zero(F2, 2).evaluate((1,))
+    assert evaluate(form(F3, 2, {(0, 1): half}), [(1, 1)]).tolist() == [1]
 
 
 def test_prime_field_evaluation_against_integer_arithmetic():
@@ -132,12 +92,13 @@ def test_prime_field_evaluation_against_integer_arithmetic():
         for _ in range(20):
             m = rng.randint(1, 3)
             q = random_form(rng, fld, m)
-            for x in all_vectors(fld, m):
+            xs = points(fld, m)
+            for x, value in zip(xs.tolist(), evaluate(q, xs).tolist()):
                 expected = 0
                 for (i, j), c in zip(triangle_pairs(m), q.coeffs):
                     weight = 1 if i == j or p == 2 else 2
                     expected += weight * c * x[i] * x[j]
-                assert q.evaluate(x) == expected % p
+                assert value == expected % p
 
 
 # -- polar form and radicals -------------------------------------------------------
@@ -148,18 +109,17 @@ def test_bilinear_identity_and_scaling_exhaustive(q, m):
     rng = random.Random(q * 100 + m)
     forms = [random_form(rng, fld, m) for _ in range(5)]
     forms += [canonical_form(fld, m, r, admissible_tags(q, r)[0]) for r in range(m + 1)]
-    points = list(all_vectors(fld, m))
+    xs = points(fld, m)
     for Q in forms:
-        for x in points:
-            qx = Q.evaluate(x)
-            for lam in range(fld.q):
-                lx = tuple(fld.mul(lam, xi) for xi in x)
-                assert Q.evaluate(lx) == fld.mul(fld.mul(lam, lam), qx)
-            for y in points:
-                s = tuple(fld.add(a, b) for a, b in zip(x, y))
-                assert Q.evaluate(s) == fld.add(
-                    fld.add(qx, Q.evaluate(y)), polar(Q, x, y)
-                )
+        values = evaluate(Q, xs)
+        for lam in range(fld.q):
+            assert (evaluate(Q, fld.mul_array[lam, xs]) == fld.mul_array[fld.mul(lam, lam), values]).all()
+        for x, qx in zip(xs.tolist(), values.tolist()):
+            # Q(x + y) at every y, against Q(x) + Q(y) + B(x, y)
+            expected = [
+                fld.add(fld.add(qx, qy), polar(Q, x, y)) for y, qy in zip(xs.tolist(), values.tolist())
+            ]
+            assert evaluate(Q, fld.add_array[x, xs]).tolist() == expected
 
 
 def test_rank_examples():
@@ -181,8 +141,8 @@ def test_odd_q_radicals_coincide(q):
             continue
         Q = random_form(rng, fld, m)
         units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
-        radical = [y for y in all_vectors(fld, m) if all(polar(Q, e, y) == 0 for e in units)]
-        assert all(Q.evaluate(y) == 0 for y in radical)
+        radical = [y for y in points(fld, m).tolist() if all(polar(Q, e, y) == 0 for e in units)]
+        assert not evaluate(Q, radical).any()
         assert len(radical) == q ** (m - classify(Q).rank)
 
 
@@ -222,13 +182,10 @@ def test_affine_shift_counts_match_direct_count(q, m):
     counts = affine_shift_counts(fld, m, np.stack([values_on_domain(Q) for Q in forms]))
     assert counts.shape == (len(forms), q ** m, q)
     # dots[L, x] = L.x, with L and x both in point index order
-    points = np.array(list(all_vectors(fld, m)), dtype=np.int64).reshape(q ** m, m)
-    dots = np.zeros((q ** m, q ** m), dtype=np.int64)
-    for i in range(m):
-        dots = fld.add_array[dots, fld.mul_array[points[:, i][:, None], points[:, i][None, :]]]
+    xs = points(fld, m)
+    dots = mat_mul(fld, xs, xs.T)
     for f, Q in enumerate(forms):
-        qv = np.array([Q.evaluate(tuple(x)) for x in points.tolist()], dtype=np.int64)
-        shifted = fld.add_array[dots, qv[None, :]]  # Q(x) + L.x
+        shifted = fld.add_array[dots, evaluate(Q, xs)[None, :]]  # Q(x) + L.x
         direct = (shifted[:, :, None] == np.arange(q)).sum(axis=1)
         assert (counts[f] == direct).all(), (q, m, Q.coeffs)
 
@@ -298,18 +255,26 @@ def test_diagonalize_identity_pointwise(q):
         assert classify(Q) == RankType(ranks[0], tags[0])
 
 
-def test_type_from_diagonal_examples():
-    assert type_from_diagonal(F3, (1,)) == 1
-    assert type_from_diagonal(F3, (1, 2)) == 1  # x1^2 - x2^2 is the plus form
-    assert type_from_diagonal(F5, (1, 1)) == 1
-    with pytest.raises(ZeroCoefficient):
-        type_from_diagonal(F3, (1, 0))
-
-
-def test_type_from_diagonal_cross_checked_by_zero_count():
-    # q = 5, rank 2, diag (1, 1): plus type means q^(m-1) + q^(m-2)(q-1) zeros
-    Q = form(F5, 2, {(0, 0): 1, (1, 1): 1})
-    assert zero_count_exhaustive(Q) == zero_count_formula(2, 1, 5, 2) == 9
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_classify_reads_the_type_of_a_diagonal_form(q):
+    # sum a_i x_i^2 with r nonzero a_i has rank r and type
+    # chi((-1)^floor(r/2) a_1 ... a_r); chi(-1) = -1 for q = 3 and 7, and
+    # ranks 1 to 4 meet every r mod 4. The zero counts confirm each expected
+    # type: an even rank shows it, and an odd rank keeps it when -y^2 joins
+    # in a new variable. (1, 2) is x1^2 - x2^2 over GF(3), the plus form.
+    fld = SMALL_FIELDS[q]
+    rng = random.Random(q)
+    diagonals = [(1,), (1, 2), (1, 1), (1, 0)]
+    diagonals += [tuple(rng.randrange(1, q) for _ in range(r)) for r in (1, 2, 3, 4) for _ in range(3)]
+    for diag in diagonals:
+        r, product = 0, 1
+        for a in filter(None, diag):
+            r, product = r + 1, fld.mul(product, a)
+        tag = fld.quadratic_character(fld.mul(fld.neg(1) if r // 2 % 2 else 1, product))
+        assert classify(form(fld, len(diag), {(i, i): a for i, a in enumerate(diag)})) == RankType(r, tag)
+        even = diag + (fld.neg(1),) * (r % 2)
+        Q = form(fld, len(even), {(i, i): a for i, a in enumerate(even)})
+        assert zero_count_exhaustive(Q) == zero_count_formula(r + r % 2, tag, q, len(even))
 
 
 # -- classify and canonical forms -----------------------------------------------------
@@ -321,7 +286,7 @@ def test_classify_examples():
     assert classify(form(F3, 2, {(0, 1): F3.inv(2)})) == RankType(2, 1)
 
 
-def test_classify_refuses_a_short_diagonal(monkeypatch):
+def test_classify_refuses_a_singular_pivot_block(monkeypatch):
     # the rank and the determinant come from two row reductions; a first
     # reduction that reports one pivot too many leaves a singular pivot
     # block, which classify must refuse
@@ -344,7 +309,7 @@ def test_classify_refuses_a_short_diagonal(monkeypatch):
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_odd_classify_makes_two_eliminations(monkeypatch, q):
     # one row reduction of the m x m coefficient matrix, then one of its
-    # r x r pivot block; no Substitution is built
+    # r x r pivot block
     fld = SMALL_FIELDS[q]
     shapes = []
     real = forms_module._row_reduce
@@ -354,11 +319,6 @@ def test_odd_classify_makes_two_eliminations(monkeypatch, q):
         return real(field, rows)
 
     monkeypatch.setattr(forms_module, "_row_reduce", row_reduce)
-
-    def no_substitution(*args):
-        raise AssertionError("classify built a Substitution")
-
-    monkeypatch.setattr(forms_module, "Substitution", no_substitution)
     rng = random.Random(q)
     for m in range(1, 7):
         for _ in range(5):
@@ -404,7 +364,7 @@ def test_classify_past_enumeration_frontier(q):
     # back through a random change of variables all the same
     fld = SMALL_FIELDS[q]
     m = 30
-    A = random_substitution(random.Random(q), fld, m)
+    A = random_invertible(random.Random(q), fld, m)
     for r in range(0, m + 1):
         for tag in admissible_tags(q, r):
             assert classify(substitute(canonical_form(fld, m, r, tag), A)) == RankType(r, tag)
@@ -413,24 +373,23 @@ def test_classify_past_enumeration_frontier(q):
 # -- substitutions ---------------------------------------------------------------------
 
 def test_substitution_validation():
-    with pytest.raises(SingularSubstitution):
-        Substitution(F3, 2, ((1, 2), (2, 1)))  # det = 1 - 4 = 0 mod 3
-    with pytest.raises(DimensionMismatch):
-        Substitution(F3, 2, ((1, 0),))
+    # the draws of random_invertible are kept only when invertible
+    assert not invertible(F3, [[1, 2], [2, 1]])  # det = 1 - 4 = 0 mod 3
+    assert invertible(F3, [[1, 1], [2, 1]])
+    assert not invertible(F4, [[2, 3], [3, 1]])  # det = 2 + 3 * 3 = 2 + 2 = 0 over GF(4)
 
 
 def test_substitute_identity():
     rng = random.Random(5)
     for fld, m in [(F2, 3), (F3, 2), (F4, 2), (F5, 3)]:
         Q = random_form(rng, fld, m)
-        assert substitute(Q, identity_substitution(fld, m)).coeffs == Q.coeffs
+        assert substitute(Q, np.eye(m, dtype=np.int64)).coeffs == Q.coeffs
 
 
 def test_substitute_scales_sum_of_squares_by_nonsquare():
     # x1 = y1 + y2, x2 = 2 y1 + y2 sends x1^2 + x2^2 to 2 (y1^2 + y2^2)
     Q = form(F3, 2, {(0, 0): 1, (1, 1): 1})
-    A = Substitution(F3, 2, ((1, 1), (2, 1)))
-    assert substitute(Q, A).coeffs == (2, 0, 2)
+    assert substitute(Q, [[1, 1], [2, 1]]).coeffs == (2, 0, 2)
 
 
 def test_substitute_matches_pointwise_composition():
@@ -438,10 +397,10 @@ def test_substitute_matches_pointwise_composition():
     for fld, m in [(F2, 3), (F3, 2), (F4, 2), (F5, 2), (SMALL_FIELDS[9], 2)]:
         for _ in range(10):
             Q = random_form(rng, fld, m)
-            A = random_substitution(rng, fld, m)
-            QA = substitute(Q, A)
-            for x in all_vectors(fld, m):
-                assert QA.evaluate(x) == Q.evaluate(apply_substitution(A, x))
+            A = random_invertible(rng, fld, m)
+            xs = points(fld, m)
+            # row x of xs A^T is the point A x
+            assert (evaluate(substitute(Q, A), xs) == evaluate(Q, mat_mul(fld, xs, A.T))).all()
 
 
 def test_classify_invariant_under_substitution():
@@ -451,7 +410,7 @@ def test_classify_invariant_under_substitution():
             Q = random_form(rng, fld, m)
             expected = classify(Q)
             for _ in range(3):
-                A = random_substitution(rng, fld, m)
+                A = random_invertible(rng, fld, m)
                 assert classify(substitute(Q, A)) == expected
 
 
@@ -476,7 +435,8 @@ def test_bilinear_identity_property(data):
     Q, x, y = data
     fld = Q.field
     s = tuple(fld.add(a, b) for a, b in zip(x, y))
-    assert Q.evaluate(s) == fld.add(fld.add(Q.evaluate(x), Q.evaluate(y)), polar(Q, x, y))
+    qs, qx, qy = evaluate(Q, [s, x, y]).tolist()
+    assert qs == fld.add(fld.add(qx, qy), polar(Q, x, y))
 
 
 @given(form_and_vectors(), st.integers(0, 8))
@@ -486,4 +446,5 @@ def test_square_scaling_property(data, lam_seed):
     fld = Q.field
     lam = lam_seed % fld.q
     lx = tuple(fld.mul(lam, xi) for xi in x)
-    assert Q.evaluate(lx) == fld.mul(fld.mul(lam, lam), Q.evaluate(x))
+    qlx, qx = evaluate(Q, [lx, x]).tolist()
+    assert qlx == fld.mul(fld.mul(lam, lam), qx)

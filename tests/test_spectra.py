@@ -1,21 +1,19 @@
 """Coset zero-count multisets: closed forms against the brute-force oracle."""
 
-import itertools
 import random
 from collections import Counter
 
 import pytest
+from algebra import evaluate, mat_mul, points, random_invertible, substitute
 
 from qfrm import spectra
 from qfrm.errors import BudgetExceeded, InconsistentQuery, UnsupportedForBinary
 from qfrm.field import field_new
 from qfrm.forms import (
     QuadraticForm,
-    Substitution,
     admissible_tags,
     affine_shift_steps,
     canonical_form,
-    substitute,
     triangle_size,
 )
 from qfrm.verify import run_verification
@@ -238,15 +236,7 @@ def test_oracle_invariant_under_substitution():
             Q = QuadraticForm(fld, m, coeffs)
             base = merged_oracle(Q)
             for _ in range(3):
-                while True:
-                    rows = tuple(
-                        tuple(rng.randrange(q) for _ in range(m)) for _ in range(m)
-                    )
-                    try:
-                        A = Substitution(fld, m, rows)
-                        break
-                    except Exception:
-                        continue
+                A = random_invertible(rng, fld, m)
                 assert merged_oracle(substitute(Q, A)).entries == base.entries
 
 
@@ -263,22 +253,12 @@ def test_mean_identity_merged():
 
 
 def _direct_zero_counts(form):
-    """hist[L][s] = #{x : Q(x) + L.x = s}, by QuadraticForm.evaluate and the
-    field's scalar operations, L running over the points."""
-    fld, m = form.field, form.m
-    add = [[fld.add(a, b) for b in range(fld.q)] for a in range(fld.q)]
-    mul = [[fld.mul(a, b) for b in range(fld.q)] for a in range(fld.q)]
-    points = list(itertools.product(range(fld.q), repeat=m))
-    values = [form.evaluate(x) for x in points]
-    hist = []
-    for L in points:
-        counts = Counter()
-        for x, v in zip(points, values):
-            for li, xi in zip(L, x):
-                v = add[v][mul[li][xi]]
-            counts[v] += 1
-        hist.append(counts)
-    return hist
+    """hist[L][s] = #{x : Q(x) + L.x = s}, with Q(x) from its definition
+    and L.x one matrix product over the field, L running over the points."""
+    fld = form.field
+    xs = points(fld, form.m)
+    shifted = fld.add_array[mat_mul(fld, xs, xs.T), evaluate(form, xs)[None, :]]
+    return [Counter(row) for row in shifted.tolist()]
 
 
 def _oracle_classes(q):
