@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    InexactDivision,
-    InternalInconsistency,
-    OutOfRange,
-    count_text,
-)
+from .errors import InexactDivision, InternalInconsistency, OutOfRange, admit
 from .field import FiniteField, field_from_order
 from .forms import (
     _BLOCK,
@@ -41,7 +35,8 @@ from .forms import (
 # perfbench/tracing.py wraps it under this module's name
 from .forms import classify  # noqa: F401
 
-DEFAULT_EVAL_BUDGET = 1 << 26
+# form-point evaluations census_exhaustive may make
+EVAL_BUDGET = 1 << 26
 
 LABEL_ORDER = {"plus": 0, "minus": 1, "untyped": 2, "odd_total": 3}
 
@@ -165,22 +160,18 @@ def _rank_and_type(field: FiniteField, m: int, values: np.ndarray):
     return rank, np.where(rank % 2, odd_tag, even_tag)
 
 
-def census_exhaustive(q: int, m: int, max_evals: int = DEFAULT_EVAL_BUDGET) -> CensusTable:
+def census_exhaustive(q: int, m: int) -> CensusTable:
     """Enumerate every form on GF(q)^m and tally by (rank, type).
 
     Each block of forms is evaluated on all q^m points at once
     (``forms._form_blocks``) and classified by ``_rank_and_type`` from
-    point counts, never through ``classify``. The budget is charged those
-    q^(m(m+1)/2) q^m form-point evaluations before any form is built. The
-    field's q x q tables limit q to ``GRID_TABLE_MAX``; larger fields raise
-    FieldTooLarge.
+    point counts, never through ``classify``. ``EVAL_BUDGET`` is charged
+    those q^(m(m+1)/2) q^m form-point evaluations before any form is
+    built. The field's q x q tables limit q to ``GRID_TABLE_MAX``; larger
+    fields raise FieldTooLarge.
     """
     fld = field_from_order(q)
-    n_evals = q ** (triangle_size(m) + m)
-    if n_evals > max_evals:
-        raise BudgetExceeded(
-            f"{count_text(n_evals)} evaluations exceed the budget {count_text(max_evals)}"
-        )
+    admit(q ** (triangle_size(m) + m), EVAL_BUDGET, "evaluations")
     # tally[rank, tag + 1], tags -1, 0 (untyped), +1
     tally = np.zeros(3 * (m + 1), dtype=np.int64)
     add = fld.add_array

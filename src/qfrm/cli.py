@@ -7,7 +7,9 @@ Data goes to stdout (or --output), diagnostics to stderr. Exit codes:
 ``verify`` exit 2 at once when the largest number they would print (for
 ``verify``, build) exceeds ``MAX_OUTPUT_BITS`` bits; the check runs before
 any big integer is built. ``classify`` exits 2 before it builds a form of
-more than ``MAX_FORM_COEFFS`` coefficients.
+more than ``MAX_FORM_COEFFS`` coefficients, reads at most
+``MAX_FILE_BYTES`` of a ``--file``, and refuses a number with more digits
+than its cap before converting it.
 
 Coefficient text grammar (classify input and canonical output)::
 
@@ -34,7 +36,7 @@ from decimal import Decimal
 
 from .census import census_formula
 from .codes import (
-    DEFAULT_SYMBOL_BUDGET,
+    DEFAULT_STEP_BUDGET,
     code_dimension,
     distribution,
     weight_enumerator_text,
@@ -47,7 +49,7 @@ from .errors import (
     OutOfRange,
     QfrmError,
 )
-from .field import field_from_order
+from .field import MAX_ORDER, field_from_order
 from .forms import (
     TYPE_LABELS,
     QuadraticForm,
@@ -76,6 +78,11 @@ MAX_OUTPUT_BITS = 1 << 16
 # count classify prints, q^m for the zero form, then stays under
 # MAX_OUTPUT_BITS for every field (20 * 1023 bits at q = 2^20).
 MAX_FORM_COEFFS = 1 << 19
+MAX_FORM_M = (math.isqrt(8 * MAX_FORM_COEFFS + 1) - 1) // 2  # 1023
+
+# Largest classify --file read: a dense form at the coefficient cap,
+# "c[i][j]=v " for i, j <= 1023 and v < 2^20, takes about 12 MB.
+MAX_FILE_BYTES = 1 << 24
 
 
 # dist and count build their tables in Decimal under this context: every
@@ -104,6 +111,15 @@ def _check_output_size(q: int, exponent: int) -> None:
         )
 
 
+def _number(digits: str, name: str, cap: int) -> int:
+    """The value of a digit run whose value is at most ``cap``, refused
+    unconverted (int() of n digits takes O(n^2) time) and unechoed when it
+    has more significant digits than ``cap``."""
+    if len(digits.lstrip("0")) > len(str(cap)):
+        raise OutOfRange(f"{name} has more than {len(str(cap))} digits, past its cap {cap}")
+    return int(digits)
+
+
 def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
     field = field_from_order(q)
     # refuse before the m(m+1)/2 coefficient table is allocated
@@ -115,7 +131,8 @@ def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
     entries = {}
     seen_len = 0
     for match in _COEFF_RE.finditer(body):
-        i, j, value = int(match.group(1)), int(match.group(2)), int(match.group(3))
+        i, j = (_number(match.group(k), "a coefficient index", MAX_FORM_M) for k in (1, 2))
+        value = _number(match.group(3), "a coefficient value", MAX_ORDER - 1)
         seen_len += len(match.group(0))
         if not 1 <= i <= j <= m:
             raise QfrmError(f"coefficient index c[{i}][{j}] outside 1 <= i <= j <= {m}")
@@ -134,7 +151,7 @@ def parse_form_text(text: str) -> QuadraticForm:
     match = _HEAD_RE.match(text)
     if not match:
         raise QfrmError("expected 'q=<q> m=<m>; c[i][j]=<v> ...'")
-    q, m = int(match.group(1)), int(match.group(2))
+    q, m = _number(match.group(1), "q", MAX_ORDER), _number(match.group(2), "m", MAX_FORM_M)
     return _parse_coeff_body(match.group(3), q, m)
 
 
@@ -186,8 +203,12 @@ def _cmd_dist(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.file:
-        with open(args.file, encoding="utf-8") as handle:
-            form = parse_form_text(handle.read())
+        with open(args.file, "rb") as handle:
+            data = handle.read(MAX_FILE_BYTES + 1)
+        if len(data) > MAX_FILE_BYTES:
+            raise OutOfRange(f"{args.file} holds more than {MAX_FILE_BYTES} bytes")
+        # a byte that is not UTF-8 becomes U+FFFD, which the grammar refuses
+        form = parse_form_text(data.decode("utf-8", errors="replace"))
     elif args.coeffs is not None:
         form = _parse_coeff_body(args.coeffs, args.q, args.m)
     else:
@@ -321,12 +342,13 @@ def _cmd_verify(args) -> int:
             field_from_order(q)  # validates prime powers up front
         for q in itertools.chain(*qs):
             for m in itertools.chain(*ms):
-                # no check builds or prints a power of q past q^((m+2)(m+3)/2): the
-                # prm2 dimension (m+1)(m+2)/2 plus n <= q^(m+1) in a symbol count
+                # no check builds or prints a number past q^((m+2)(m+3)/2): the
+                # largest, the transform steps of a codes SKIP line, is under
+                # m q^((m+1)(m+2)/2 + 1), one factor q past the prm2 dimension
                 _check_output_size(q, (m + 2) * (m + 3) // 2)
         pairs = [(q, m) for q in itertools.chain(*qs) for m in itertools.chain(*ms)]
     results = run_verification(
-        args.scope, pairs, max_points=args.max_points, max_symbols=args.max_codewords
+        args.scope, pairs, max_points=args.max_points, max_steps=args.max_codewords
     )
     lines = []
     for res in results:
@@ -425,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", help="value, comma list, or a-b range (with --q)")
     p.add_argument("--max-points", type=int, default=DEFAULT_ORACLE_BUDGET,
                    help="coset-spectrum oracle budget, in transform steps per form (default 2^24)")
-    p.add_argument("--max-codewords", type=int, default=DEFAULT_SYMBOL_BUDGET)
+    p.add_argument("--max-codewords", type=int, default=DEFAULT_STEP_BUDGET,
+                   help="codeword oracle budget, in transform steps over all the quadratic "
+                   "parts of a code (default 2^31)")
     _add_common(p, formats=())
     p.set_defaults(func=_cmd_verify)
 

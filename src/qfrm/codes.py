@@ -30,13 +30,7 @@ import numpy as np
 # count_even_rank and count_odd_rank stay importable here: perfbench/tracing.py
 # wraps them under this module's names
 from .census import _exact_div, census_formula, count_even_rank, count_odd_rank  # noqa: F401
-from .errors import (
-    BudgetExceeded,
-    InternalInconsistency,
-    NonDivisibleWeight,
-    UnsupportedParameters,
-    count_text,
-)
+from .errors import InternalInconsistency, NonDivisibleWeight, UnsupportedParameters, admit
 from .field import field_from_order
 from .forms import (
     _BLOCK,
@@ -44,7 +38,9 @@ from .forms import (
     _form_blocks,
     _monomial_planes,
     affine_shift_counts,
+    affine_shift_steps,
     triangle_pairs,
+    triangle_size,
     zero_count_formula,
 )
 # coset_weight_multiset stays importable here, though the rm2 table reads
@@ -53,7 +49,10 @@ from .spectra import coset_weight_multiset, merged_rows  # noqa: F401
 
 FAMILIES = ("rm2", "hrm2", "prm2")
 
-DEFAULT_SYMBOL_BUDGET = 1 << 34
+# transform steps brute_force_distribution may take by default: 2^31 runs in
+# seconds at 2 * 10^8 to 1.2 * 10^9 steps/s, where 2^32 would admit rm2 at
+# (q, m) = (7, 3) and (23, 2), over 10 s each
+DEFAULT_STEP_BUDGET = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def distribution(family: str, q: int, m: int, unit=1) -> WeightDistribution:
 # -- brute-force codeword enumeration --------------------------------------------------
 
 def brute_force_distribution(
-    family: str, q: int, m: int, max_symbols: int = DEFAULT_SYMBOL_BUDGET
+    family: str, q: int, m: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> WeightDistribution:
     """Enumerate every codeword and tally Hamming weights.
 
@@ -252,19 +251,21 @@ def brute_force_distribution(
       q^m - H[L, -c] and the hyperplane x_m = 0 gives
       (q^m - H[0, 0]) / (q - 1), a division checked for exactness.
 
-    The symbol budget still counts all q^k codewords times n coordinates.
+    The budget is charged, before the field or any plane is built, the
+    steps the kernel takes over the q^T quadratic parts (T = m(m-1)/2 for
+    binary rm2, m(m+1)/2 otherwise): ``affine_shift_steps(q, m)`` per
+    form, or the q^m points compared for hrm2.
     """
     params = code_parameters(family, q, m)
-    n_symbols = q ** params.k * params.n
-    if n_symbols > max_symbols:
-        raise BudgetExceeded(
-            f"{count_text(n_symbols)} symbol evaluations exceed {count_text(max_symbols)}"
-        )
+    binary_rm2 = family == "rm2" and q == 2
+    n = q ** m
+    parts = q ** (m * (m - 1) // 2 if binary_rm2 else triangle_size(m))
+    per_part = n if family == "hrm2" else affine_shift_steps(q, m)
+    admit(parts * per_part, max_steps, "transform steps")
     field = field_from_order(q)
     planes = _monomial_planes(field, m)
-    if family == "rm2" and q == 2:
+    if binary_rm2:
         planes = [p for p, (i, j) in zip(planes, triangle_pairs(m)) if i != j]
-    n = q ** m
     neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
     rows = max(1, _BLOCK // (n if family == "hrm2" else q * q * n))
     tally = np.zeros(params.n + 1, dtype=np.int64)

@@ -12,6 +12,14 @@ def count_text(n: int) -> str:
     return str(Decimal(n))
 
 
+def admit(work: int, budget: int, unit: str) -> None:
+    """The one admission rule of the brute-force oracles: raise
+    BudgetExceeded, quoting both counts in full, when ``work`` (counted
+    in ``unit``, before anything is allocated) is over ``budget``."""
+    if work > budget:
+        raise BudgetExceeded(f"{count_text(work)} {unit} exceed {count_text(budget)}")
+
+
 class QfrmError(Exception):
     """Base class for every error raised by this package."""
 
@@ -61,7 +69,7 @@ class NonDivisibleWeight(QfrmError, ArithmeticError):
 
 
 class BudgetExceeded(QfrmError, RuntimeError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed its budget; raised by ``admit``."""
 
 
 class UnsupportedParameters(QfrmError, ValueError):

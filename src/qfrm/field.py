@@ -31,6 +31,7 @@ from .errors import (
     NonPrime,
     OddCharacteristic,
     OutOfRange,
+    count_text,
 )
 
 MAX_ORDER = 1 << 20
@@ -40,21 +41,6 @@ _SCALAR_TABLE_MAX = 1 << 16
 
 # q x q numpy operation tables are built only up to this order
 GRID_TABLE_MAX = 1 << 10
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -160,16 +146,18 @@ class FiniteField:
     """GF(p^e); immutable, all operations are pure functions of int indices."""
 
     def __init__(self, p: int, e: int = 1):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NonPrime(f"characteristic {p} is not prime")
         if not isinstance(e, int) or e < 1:
             raise OutOfRange(f"extension degree must be >= 1, got {e}")
-        q = p ** e
-        if q > MAX_ORDER:
-            raise FieldTooLarge(f"q = {q} exceeds the cap {MAX_ORDER}")
+        # p and e are bounded (2^e <= p^e) before p^e is built or p factored
+        if p > MAX_ORDER or e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
+            raise FieldTooLarge(f"GF({count_text(p)}^{count_text(e)}) exceeds the cap {MAX_ORDER}")
+        if _prime_factors(p) != [p]:
+            raise NonPrime(f"characteristic {p} is not prime")
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p ** e
         self.modulus = self._find_modulus(p, e)
         # modulus packed as an int bitmask, used by the char-2 fast path
         self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
@@ -431,17 +419,10 @@ def field_from_order(q: int) -> FiniteField:
         raise NonPrime(f"{q} is not a prime power")
     if q > MAX_ORDER:
         raise FieldTooLarge(f"q = {q} exceeds the cap {MAX_ORDER}")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    e = 0
-    t = q
-    while t % p == 0:
-        t //= p
-        e += 1
-    if t != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise NonPrime(f"{q} is not a prime power")
+    p, e = factors[0], 1
+    while p ** e < q:
+        e += 1
     return field_new(p, e)

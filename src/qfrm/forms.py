@@ -23,16 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    InconsistentRankType,
-    InternalInconsistency,
-    count_text,
-)
+from .errors import DimensionMismatch, InconsistentRankType, InternalInconsistency, admit
 from .field import FiniteField
 
-DEFAULT_POINT_BUDGET = 1 << 24
+# points zero_count_exhaustive may enumerate
+POINT_BUDGET = 1 << 24
 
 # entries of the largest array one block of forms may build in the
 # enumeration oracles (census, codewords); bounds their memory
@@ -236,13 +231,10 @@ def values_on_domain(form: QuadraticForm) -> np.ndarray:
     return acc
 
 
-def zero_count_exhaustive(form: QuadraticForm, max_points: int = DEFAULT_POINT_BUDGET) -> int:
-    """Count zeros by full enumeration of the q^m points."""
-    n = form.field.q ** form.m
-    if n > max_points:
-        raise BudgetExceeded(
-            f"domain has {count_text(n)} points, budget is {count_text(max_points)}"
-        )
+def zero_count_exhaustive(form: QuadraticForm) -> int:
+    """Count zeros by full enumeration of the q^m points, at most
+    ``POINT_BUDGET`` of them."""
+    admit(form.field.q ** form.m, POINT_BUDGET, "points")
     return int(np.count_nonzero(values_on_domain(form) == 0))
 
 

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    InconsistentQuery,
-    InternalInconsistency,
-    UnsupportedForBinary,
-    count_text,
-)
+from .errors import InconsistentQuery, InternalInconsistency, UnsupportedForBinary, admit
 from .census import _exact_div
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
@@ -80,15 +74,6 @@ class SpectrumMultiset:
 
     def to_json_entries(self):
         return [{"value": str(v), "multiplicity": str(k)} for v, k in self.sorted_items()]
-
-    @staticmethod
-    def merge(parts) -> "SpectrumMultiset":
-        out: Counter = Counter()
-        pop = 0
-        for part in parts:
-            pop += part.population
-            out.update(part.entries)
-        return SpectrumMultiset(dict(out), pop)
 
 
 @dataclass(frozen=True)
@@ -234,15 +219,6 @@ def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultis
 
 # -- brute-force oracle ------------------------------------------------------------
 
-def admit_oracle(q: int, m: int, max_evals: int) -> None:
-    """Raise BudgetExceeded unless one transform on GF(q)^m fits the budget."""
-    steps = affine_shift_steps(q, m)
-    if steps > max_evals:
-        raise BudgetExceeded(
-            f"{count_text(steps)} transform steps per form exceed {count_text(max_evals)}"
-        )
-
-
 def class_constants(field, c_class: str) -> list[int]:
     """The constants of the class, or of every class for ``"all"``."""
     q = field.q
@@ -277,7 +253,7 @@ def spectrum_oracle(
     is charged one transform before the form is evaluated.
     """
     fld = form.field
-    admit_oracle(fld.q, form.m, max_evals)
+    admit(affine_shift_steps(fld.q, form.m), max_evals, "transform steps per form")
     n = fld.q ** form.m
     cs = class_constants(fld, c_class)
     counts = _shift_counts(form)[:, [fld.neg(c) for c in cs]]

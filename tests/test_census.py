@@ -9,6 +9,7 @@ import pytest
 from algebra import form_values, points
 
 from qfrm.census import (
+    EVAL_BUDGET,
     CensusTable,
     _rank_and_type,
     census_exhaustive,
@@ -138,8 +139,9 @@ def test_formula_equals_exhaustive(q, m):
 
 
 def test_exhaustive_budget():
-    with pytest.raises(BudgetExceeded):
-        census_exhaustive(3, 3, max_evals=100)
+    # 3^15 forms of 3^5 points each: refused before any form is built
+    with pytest.raises(BudgetExceeded, match=f"^{3 ** 20} evaluations exceed {EVAL_BUDGET}$"):
+        census_exhaustive(3, 5)
 
 
 def test_json_shape(capsys):

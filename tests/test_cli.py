@@ -16,7 +16,7 @@ import pytest
 import qfrm
 from qfrm import census, cli, codes, forms, spectra, verify
 from qfrm.census import census_formula
-from qfrm.cli import MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
+from qfrm.cli import MAX_FILE_BYTES, MAX_FORM_COEFFS, MAX_OUTPUT_BITS, main, parse_form_text
 from qfrm.codes import distribution, rm2_distribution
 from qfrm.field import MAX_ORDER
 from qfrm.forms import affine_shift_steps, triangle_size
@@ -155,6 +155,46 @@ def test_classify_refuses_huge_m_from_a_file(capsys, tmp_path):
     path.write_text("q=3 m=1024; c[1][2]=1\n")
     code, out, err = run(capsys, "classify", "--file", str(path))
     assert code == 2 and out == "" and f"over the cap of {MAX_FORM_COEFFS}" in err
+
+
+@pytest.mark.parametrize(
+    "text,err",
+    [
+        ("q=" + "9" * 400_000 + " m=1; c[1][1]=1", "q has more than 7 digits, past its cap 1048576"),
+        ("q=3 m=1; c[1][1]=" + "1" * 400_000, "a coefficient value has more than 7 digits, past its cap 1048575"),
+        ("q=3 m=" + "1" * 400_000 + ";", "m has more than 4 digits, past its cap 1023"),
+        ("q=3 m=2; c[1][" + "2" * 400_000 + "]=1", "a coefficient index has more than 4 digits, past its cap 1023"),
+    ],
+    ids=["q", "value", "m", "index"],
+)
+def test_classify_file_refuses_long_numbers_before_converting_them(capsys, tmp_path, text, err):
+    # int() of n digits takes O(n^2) time, and the number is not echoed
+    path = tmp_path / "form.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, got = run(capsys, "classify", "--file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+def test_classify_file_reads_a_bounded_prefix(capsys, tmp_path):
+    path = tmp_path / "form.txt"
+    head = "q=2 m=1; c[1][1]=1"
+    path.write_text(head + " " * (MAX_FILE_BYTES - len(head)))
+    code, out, _ = run(capsys, "classify", "--file", str(path))
+    assert code == 0 and out.startswith("rank=1\n")
+    with open(path, "a") as handle:
+        handle.write(" ")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {path} holds more than {MAX_FILE_BYTES} bytes\n")
+
+
+def test_classify_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "form.txt"
+    path.write_bytes(b"q=2 m=1; c[1][1]=1 \xff")
+    assert run(capsys, "classify", "--file", str(path)) == (2, "", "error: unparsed text in coefficient list\n")
 
 
 def test_classify_sparse_form_near_the_coefficient_cap_answers(capsys):
@@ -587,7 +627,7 @@ def test_verify_census_budget_counts_evaluations(capsys, q, m):
     lines = out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith(f"SKIP census q={q} m={m}")
-    assert lines[0].endswith("evaluations exceed the budget 67108864)")
+    assert lines[0].endswith("evaluations exceed 67108864)")
     assert lines[1] == "passed=0 failed=0 skipped=1"
 
 
@@ -623,6 +663,16 @@ def test_verify_codes_past_the_symbol_budget_skips(capsys):
     for family in ("rm2", "hrm2", "prm2"):
         assert any(line.startswith(f"SKIP codes {family} q=2 m=24 formula=brute (") for line in lines)
     assert lines[-1] == "passed=1 failed=0 skipped=3"
+
+
+def test_verify_codes_past_the_step_budget_is_prompt():
+    # each brute line is refused from its transform steps before any plane is
+    # built; under the old symbol budget hrm2 alone ran for seconds here
+    proc, seconds = run_capped("verify", "--scope", "codes", "--q", "5", "--m", "4")
+    assert proc.returncode == 0 and seconds < 3.0
+    lines = proc.stdout.splitlines()
+    assert "SKIP codes hrm2 q=5 m=4 formula=brute (6103515625 transform steps exceed 2147483648)" in lines
+    assert lines[-1] == "passed=2 failed=0 skipped=3"
 
 
 def test_verify_spectra(capsys):

@@ -22,7 +22,7 @@ from qfrm.codes import (
 )
 from qfrm import codes
 from qfrm.errors import BudgetExceeded, InternalInconsistency, UnsupportedParameters
-from qfrm.forms import TYPE_LABELS, admissible_tags, zero_count_formula
+from qfrm.forms import TYPE_LABELS, admissible_tags, affine_shift_steps, zero_count_formula
 from qfrm.verify import run_verification
 
 GOLD_RM_2_7 = (
@@ -287,16 +287,64 @@ def test_hrm_frequencies_are_census_weighted_zero_counts(q, m):
 
 
 def test_brute_force_budget():
-    with pytest.raises(BudgetExceeded):
-        brute_force_distribution("rm2", 3, 3, max_symbols=1000)
+    # 3^6 quadratic parts, one transform each
+    steps = 3 ** 6 * affine_shift_steps(3, 3)
+    with pytest.raises(BudgetExceeded, match=f"^{steps} transform steps exceed {steps - 1}$"):
+        brute_force_distribution("rm2", 3, 3, max_steps=steps - 1)
+    assert brute_force_distribution("rm2", 3, 3, max_steps=steps).entries == rm2_distribution(3, 3).entries
 
 
-def test_brute_force_budget_checked_before_the_domain():
-    # hrm2 q=2 m=22 has 2^22 points; listing them alone takes tens of seconds
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded):
-        brute_force_distribution("hrm2", 2, 22)
-    assert time.perf_counter() - start < 1.0
+@pytest.mark.parametrize(
+    "family,q,m,steps",
+    [
+        # binary rm2 enumerates only the m(m-1)/2 cross terms
+        ("rm2", 2, 4, 2 ** 6 * affine_shift_steps(2, 4)),
+        # hrm2 compares each form on its q^m points, with no transform
+        ("hrm2", 3, 2, 3 ** 3 * 3 ** 2),
+        ("prm2", 2, 3, 2 ** 6 * affine_shift_steps(2, 3)),
+    ],
+)
+def test_brute_force_is_charged_its_kernel_steps(family, q, m, steps):
+    with pytest.raises(BudgetExceeded, match=f"^{steps} transform steps exceed {steps - 1}$"):
+        brute_force_distribution(family, q, m, max_steps=steps - 1)
+    assert brute_force_distribution(family, q, m, max_steps=steps).entries == distribution(family, q, m).entries
+
+
+class Admitted(Exception):
+    pass
+
+
+def _admit_only(q):
+    raise Admitted
+
+
+@pytest.mark.parametrize(
+    "family,q,m,admitted",
+    [
+        ("hrm2", 3, 5, False),
+        ("hrm2", 5, 4, False),
+        ("hrm2", 11, 3, False),
+        ("hrm2", 13, 3, False),
+        ("prm2", 19, 2, True),
+    ],
+)
+def test_default_step_budget_verdicts(monkeypatch, family, q, m, admitted):
+    # the verdict comes before the field is built, so an admitted pair stops there
+    monkeypatch.setattr(codes, "field_from_order", _admit_only)
+    with pytest.raises(Admitted if admitted else BudgetExceeded):
+        brute_force_distribution(family, q, m)
+
+
+def test_brute_force_budget_checked_before_the_domain(monkeypatch):
+    # hrm2 q=2 m=22 has 2^22 points; listing them alone takes tens of
+    # seconds. The charge is read off (family, q, m): no field or plane is built
+    monkeypatch.setattr(codes, "field_from_order", None)
+    monkeypatch.setattr(codes, "_monomial_planes", None)
+    for family, m in (("hrm2", 22), ("rm2", 40)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            brute_force_distribution(family, 2, m)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_enumerator_formatting():

@@ -1,10 +1,16 @@
 """Field construction, arithmetic axioms, characters, and trace."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qfrm
 from qfrm.errors import (
     EvenCharacteristic,
     FieldTooLarge,
@@ -171,6 +177,38 @@ def test_error_paths():
         field_new(2, 2).smallest_nonsquare()
     with pytest.raises(OddCharacteristic):
         field_new(3).smallest_trace_one()
+
+
+# each call prints its time when it raises FieldTooLarge
+ORDERS_PAST_THE_CAP = """
+import time
+from qfrm.errors import FieldTooLarge
+from qfrm.field import field_new
+for p, e in ((2 ** 61 - 1, 1), (3, 10 ** 8), (3, 2 * 10 ** 6)):
+    start = time.perf_counter()
+    try:
+        field_new(p, e)
+    except FieldTooLarge as exc:
+        print(time.perf_counter() - start, exc)
+"""
+
+
+def test_orders_past_the_cap_are_refused_before_p_is_factored():
+    # in a child with a timeout: trial division of the prime 2^61 - 1, or
+    # building 3^(10^8), would not finish; str(3^(2 * 10^6)) passes
+    # CPython's digit cap, so the message names GF(p^e), not q
+    src = str(Path(qfrm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", ORDERS_PAST_THE_CAP], capture_output=True, text=True, timeout=30, env=env
+    )
+    lines = [line.split(" ", 1) for line in proc.stdout.splitlines()]
+    assert [message for _, message in lines] == [
+        "GF(2305843009213693951^1) exceeds the cap 1048576",
+        "GF(3^100000000) exceeds the cap 1048576",
+        "GF(3^2000000) exceeds the cap 1048576",
+    ]
+    assert all(float(seconds) < 0.1 for seconds, _ in lines)
 
 
 def test_field_from_order():

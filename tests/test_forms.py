@@ -20,6 +20,7 @@ from qfrm.errors import (
 )
 from qfrm.field import field_new
 from qfrm.forms import (
+    POINT_BUDGET,
     QuadraticForm,
     RankType,
     admissible_tags,
@@ -163,8 +164,9 @@ def test_zero_count_exhaustive_examples():
 
 
 def test_zero_count_budget():
-    with pytest.raises(BudgetExceeded):
-        zero_count_exhaustive(QuadraticForm.zero(F2, 4), max_points=10)
+    # 2^25 points: refused before any point is listed
+    with pytest.raises(BudgetExceeded, match=f"^{2 ** 25} points exceed {POINT_BUDGET}$"):
+        zero_count_exhaustive(QuadraticForm.zero(F2, 25))
 
 
 def test_zero_count_refuses_fields_past_the_table_limit():
@@ -242,7 +244,7 @@ def test_zero_count_formula_validates():
 # -- classification and type (odd q) -------------------------------------------------
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
-def test_diagonalize_identity_pointwise(q):
+def test_classify_agrees_with_point_count_invariants(q):
     # classify against the census oracle's rank and type, read from point counts
     fld = SMALL_FIELDS[q]
     rng = random.Random(q * 13)
