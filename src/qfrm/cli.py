@@ -42,6 +42,7 @@ from .codes import (
     weight_enumerator_text,
 )
 from .errors import (
+    EXACT_CONTEXT,
     InconsistentRankType,
     InexactDivision,
     InternalInconsistency,
@@ -83,18 +84,6 @@ MAX_FORM_M = (math.isqrt(8 * MAX_FORM_COEFFS + 1) - 1) // 2  # 1023
 # Largest classify --file read: a dense form at the coefficient cap,
 # "c[i][j]=v " for i, j <= 1023 and v < 2^20, takes about 12 MB.
 MAX_FILE_BYTES = 1 << 24
-
-
-# dist and count build their tables in Decimal under this context: every
-# operation is exact or raises, and the counts print in linear time, where
-# str() of an int is quadratic in its digits
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-           decimal.DivisionByZero, decimal.Overflow],
-)
 
 
 def _check_output_size(q: int, exponent: int) -> None:
@@ -170,11 +159,13 @@ def _emit(args, text: str) -> None:
 
 
 def _exact(command):
-    """Run the command under the exact context; the caller's is restored."""
+    """Run the command under the exact context; the caller's is restored.
+    dist and count build their tables in Decimal, so the counts print in
+    linear time, where str() of an int is quadratic in its digits."""
 
     @functools.wraps(command)
     def run(args) -> int:
-        with decimal.localcontext(_EXACT):
+        with decimal.localcontext(EXACT_CONTEXT):
             return command(args)
 
     return run

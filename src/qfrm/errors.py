@@ -1,7 +1,20 @@
-"""Exception types shared across the package, and the text of the exact
-counts their messages quote."""
+"""Exception types shared across the package, the exact Decimal context,
+and the text of the exact counts their messages quote."""
 
+import decimal
 from decimal import Decimal
+
+# exact Decimal arithmetic: every operation is exact or raises
+EXACT_CONTEXT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
+
+# ints up to this many bits go to Decimal in one conversion
+_DIRECT_BITS = 1 << 12
 
 
 def count_text(n: int) -> str:
@@ -9,7 +22,23 @@ def count_text(n: int) -> str:
     int refuses past CPython's digit cap (``sys.set_int_max_str_digits``,
     4,300 by default); a Decimal is built from the integer's binary
     digits and printed without that check."""
-    return str(Decimal(n))
+    with decimal.localcontext(EXACT_CONTEXT):
+        return str(_decimal(n, {}))
+
+
+def _decimal(n: int, powers: dict) -> Decimal:
+    """n as an exact Decimal. Converting an int is quadratic in its
+    length, so a long n is split by bits, n = hi * 2^k + lo with k a power
+    of two, and the halves are converted and joined in Decimal
+    arithmetic, whose products of long numbers are subquadratic.
+    ``powers`` keeps each 2^k, which every split at one depth shares."""
+    size = n.bit_length()
+    if size <= _DIRECT_BITS:
+        return Decimal(n)
+    k = 1 << (size - 1).bit_length() - 1
+    if k not in powers:
+        powers[k] = Decimal(2) ** k
+    return _decimal(n >> k, powers) * powers[k] + _decimal(n & (1 << k) - 1, powers)
 
 
 def admit(work: int, budget: int, unit: str) -> None:

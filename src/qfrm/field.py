@@ -11,6 +11,11 @@ whose digit encoding is smallest; candidates are scanned in encoding
 order and tested with a Rabin-style criterion, so two constructions of
 the same (p, e) agree element for element.
 
+Scalar addition is XOR of indices over GF(2^e) and integer arithmetic
+mod p over a prime field. Over an odd extension field with q at most
+``GRID_TABLE_MAX``, ``add``, ``neg`` and ``sub`` read lists built once
+per field (the rows of the q x q add table, and the negation of each
+element), and past that bound they run a loop over the base-p digits.
 Multiplication runs off discrete-log tables against the smallest
 generator, built lazily; fields too large for tables fall back to
 polynomial arithmetic per operation. ``add_array``/``mul_array`` expose
@@ -267,6 +272,9 @@ class FiniteField:
             return a
         if self.e == 1:
             return (-a) % self.p
+        negs = self._neg_list
+        if negs is not None:
+            return negs[a]
         p = self.p
         s = 0
         w = 1
@@ -277,6 +285,12 @@ class FiniteField:
         return s
 
     def sub(self, a: int, b: int) -> int:
+        # tested first: reading a cached property moves the instance's
+        # attributes into a dict, and every scalar op on it gets slower
+        if self.e > 1 and self.p != 2:
+            negs = self._neg_list
+            if negs is not None:
+                return self._add_rows[a][negs[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -391,6 +405,14 @@ class FiniteField:
         if self.q > GRID_TABLE_MAX:
             return None
         return self.add_array.tolist()
+
+    @functools.cached_property
+    def _neg_list(self):
+        # -a for every a, read by neg and sub over odd extension fields:
+        # the zero of row a of the add table sits in column -a
+        if self.q > GRID_TABLE_MAX:
+            return None
+        return self.add_array.argmin(axis=1).tolist()
 
     # -- misc -----------------------------------------------------------------
 

@@ -213,22 +213,27 @@ def values_on_domain(form: QuadraticForm) -> np.ndarray:
     """Q evaluated at every point of GF(q)^m in index order.
 
     Built from the field's q x q operation tables, so q is limited to
-    ``GRID_TABLE_MAX``; larger fields raise FieldTooLarge.
+    ``GRID_TABLE_MAX``; larger fields raise FieldTooLarge. The points are
+    an m-axis grid, coordinate i along axis i, and each nonzero term
+    c x_i x_j is read off the mul table (its diagonal when i = j) and
+    broadcast into the sum along axes i and j, so no array but the sum
+    holds q^m entries.
     """
     fld = form.field
     add, mul = fld.add_array, fld.mul_array
-    mono = _monomial_planes(fld, form.m)
-    odd = fld.p != 2
-    acc = np.zeros(fld.q ** form.m, dtype=fld.dtype)
-    for k, (i, j) in enumerate(triangle_pairs(form.m)):
+    m, q = form.m, fld.q
+    acc = np.zeros((q,) * m, dtype=fld.dtype)
+    for k, (i, j) in enumerate(triangle_pairs(m)):
         c = form.coeffs[k]
         if not c:
             continue
-        term = mul[c][mono[k]]
-        if odd and i != j:
-            term = add[term, term]
+        if i == j:
+            term = mul[c][mul.diagonal()].reshape((q,) + (1,) * (m - 1 - i))
+        else:
+            c = fld.add(c, c) if fld.p != 2 else c  # the stored c_ij counts twice
+            term = mul[c][mul].reshape((q,) + (1,) * (j - i - 1) + (q,) + (1,) * (m - 1 - j))
         acc = add[acc, term]
-    return acc
+    return acc.ravel()
 
 
 def zero_count_exhaustive(form: QuadraticForm) -> int:
@@ -266,10 +271,11 @@ def affine_shift_counts(field: FiniteField, m: int, values: np.ndarray) -> np.nd
     keys *= q * rest
     keys += np.arange(0, q * rest, rest)[:, None, None] + np.arange(rest)
     counts = np.bincount(keys.ravel(), minlength=q * q * rest).astype(dtype)
-    neg = np.array([field.neg(c) for c in range(q)])
-    for i in range(1, m):
+    if m > 1:
         # index[l, a, s] = s - l*a, built only here: when m = 1, q may be 1024
+        neg = np.array([field.neg(c) for c in range(q)])
         index = add[np.arange(q), neg[mul][:, :, None]]
+    for i in range(1, m):
         before = counts.reshape(q, q ** i, q, -1)  # (s, l_0..l_(i-1), x_i, rest)
         after = before[index, :, np.arange(q)[:, None]].sum(axis=1, dtype=dtype)
         counts = after.transpose(1, 2, 0, 3)  # (s, l_0..l_i, rest)

@@ -3,7 +3,10 @@
 BudgetExceeded (and verify a SKIP) rather than a ValueError."""
 
 import ast
+import decimal
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,24 @@ def test_count_text_is_exact_past_the_cap():
     sys.set_int_max_str_digits(0)
     assert text == str(n)
     assert [count_text(v) for v in (0, 1, 10 ** 30, -12)] == ["0", "1", str(10 ** 30), "-12"]
+
+
+def test_count_text_is_subquadratic():
+    # census (2, 2000) charges 2^2003000 evaluations, 602,964 digits; one
+    # int-to-Decimal conversion of that count takes seconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as refusal:
+        census_exhaustive(2, 2000)
+    assert time.perf_counter() - start < 1.0
+    count, rest = str(refusal.value).split(" ", 1)
+    assert rest == "evaluations exceed 67108864"
+    assert len(count) == 602_964
+    assert count[-30:] == str(pow(2, 2_003_000, 10 ** 30))
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact])):
+        assert Decimal(count) == Decimal(2) ** 2_003_000
+    text = count_text(-(7 ** 20000) + 1)
+    sys.set_int_max_str_digits(0)
+    assert text == str(-(7 ** 20000) + 1)
 
 
 def test_census_budget_past_the_cap():

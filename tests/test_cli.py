@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -530,6 +531,41 @@ def test_closed_form_tables_are_byte_identical(capsys):
         code = main(argv)
         digest.update(repr((argv, code, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == CLOSED_FORM_SHA256
+
+
+# sha256 of every (argv, exit code, stdout) in _classify_commands, recorded
+# before neg and sub over odd extension fields moved onto lists built once
+# per field; classify must keep every byte of its rank, type, zero count and
+# canonical form
+CLASSIFY_SHA256 = "2eec6cfed86898bd7ffd74022f1f2d0ebc0664a367e587171924d100973ef1ca"
+
+# prime, odd extension and even fields inside the table bound, and GF(3^7),
+# whose scalar arithmetic runs digit by digit; at most this m for each q
+CLASSIFY_PIN_M = {3: 6, 5: 6, 9: 6, 25: 5, 27: 5, 49: 4, 81: 4, 4: 6, 8: 5, 16: 5, 2187: 3}
+
+
+def _classify_commands():
+    # sparse and dense forms, so that every rank occurs, from a fixed seed
+    rng = random.Random(20190)
+    for q, top in CLASSIFY_PIN_M.items():
+        for m in range(top + 1):
+            for density in (0.1, 0.3, 0.6, 1.0) * 3:
+                coeffs = [
+                    f"c[{i + 1}][{j + 1}]={rng.randrange(1, q)}"
+                    for i in range(m)
+                    for j in range(i, m)
+                    if rng.random() < density
+                ]
+                head = ["classify", "--q", str(q), "--m", str(m), "--format", "json"]
+                yield head + ["--coeffs", " ".join(coeffs)]
+
+
+def test_classify_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in _classify_commands():
+        code = main(argv)
+        digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == CLASSIFY_SHA256
 
 
 # the closed-form grid of the cross-route tests: the benchmark's centre pairs,

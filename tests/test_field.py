@@ -1,6 +1,7 @@
 """Field construction, arithmetic axioms, characters, and trace."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,47 @@ def test_scalar_ops_agree_with_tables(p, e):
         for b in range(f.q):
             assert f.add(a, b) == int(add[a, b])
             assert f.mul(a, b) == int(mul[a, b])
+
+
+def _digits(a, p, e):
+    return [a // p ** k % p for k in range(e)]
+
+
+def _digit_sub(a, b, p, e):
+    """a - b digit by digit in base p: the reference for neg and sub."""
+    return sum((x - y) % p * p ** k for k, (x, y) in enumerate(zip(_digits(a, p, e), _digits(b, p, e))))
+
+
+# the odd extension fields of order at most 125; GF(3^6) and GF(31^2) at
+# the top of the table tier; GF(3^7) and GF(5^5) past it
+ODD_EXTENSIONS_125 = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
+ODD_EXTENSIONS_SAMPLED = [(3, 6), (31, 2), (3, 7), (5, 5)]
+
+
+@pytest.mark.parametrize("p,e", ODD_EXTENSIONS_125)
+def test_neg_and_sub_match_base_p_digits_exhaustive(p, e):
+    f = field_new(p, e)
+    assert [f.neg(a) for a in range(f.q)] == [_digit_sub(0, a, p, e) for a in range(f.q)]
+    for a in range(f.q):
+        assert [f.sub(a, b) for b in range(f.q)] == [_digit_sub(a, b, p, e) for b in range(f.q)]
+
+
+@pytest.mark.parametrize("p,e", ODD_EXTENSIONS_SAMPLED)
+def test_neg_and_sub_match_base_p_digits_sampled(p, e):
+    f = field_new(p, e)
+    rng = random.Random(p ** e)
+    for a, b in [(0, 0), (f.q - 1, 1), (1, f.q - 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]:
+        assert f.neg(b) == _digit_sub(0, b, p, e)
+        assert f.sub(a, b) == _digit_sub(a, b, p, e)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6])
+def test_sub_over_even_q_is_xor(e):
+    f = field_new(2, e)
+    for a in range(f.q):
+        assert [f.sub(a, b) for b in range(f.q)] == [a ^ b for b in range(f.q)]
+    big = field_new(2, 17)
+    assert big.sub(12345, 54321) == 12345 ^ 54321 and big.neg(12345) == 12345
 
 
 @pytest.mark.parametrize("p,e", PRIME_POWERS_64)

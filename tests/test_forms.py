@@ -3,6 +3,7 @@ zero counts, each checked against direct enumeration."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,36 @@ def test_zero_count_refuses_fields_past_the_table_limit():
     # the enumeration runs on q x q operation tables; there is no per-point fallback
     with pytest.raises(FieldTooLarge):
         zero_count_exhaustive(QuadraticForm.zero(field_new(2, 11), 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_values_on_domain_match_pointwise_evaluation(q):
+    fld = SMALL_FIELDS[q]
+    rng = random.Random(104729 * q)
+    for m in range(5 if q <= 5 else 4):
+        for _ in range(4):
+            Q = random_form(rng, fld, m)
+            values = values_on_domain(Q)
+            assert values.dtype == fld.dtype
+            assert values.tolist() == evaluate(Q, points(fld, m)).tolist(), (q, m, Q.coeffs)
+
+
+def test_zero_count_builds_no_monomial_planes():
+    # the 171 planes x_i x_j of GF(2)^18 would take 45 MB; the sum of the
+    # terms takes 2^18 bytes, and each term q^2
+    sparse = form(F2, 18, {(0, 1): 1, (2, 17): 1, (16, 16): 1})
+    for Q in (QuadraticForm.zero(F2, 18), sparse):
+        rt = classify(Q)
+        forms_module._coordinate_planes.cache_clear()
+        forms_module._monomial_planes.cache_clear()
+        tracemalloc.start()
+        try:
+            zeros = zero_count_exhaustive(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zeros == zero_count_formula(rt.rank, rt.type_tag, 2, 18)
+        assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
