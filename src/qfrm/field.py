@@ -11,15 +11,19 @@ whose digit encoding is smallest; candidates are scanned in encoding
 order and tested with a Rabin-style criterion, so two constructions of
 the same (p, e) agree element for element.
 
-Scalar addition is XOR of indices over GF(2^e) and integer arithmetic
-mod p over a prime field. Over an odd extension field with q at most
-``GRID_TABLE_MAX``, ``add``, ``neg`` and ``sub`` read lists built once
-per field (the rows of the q x q add table, and the negation of each
-element), and past that bound they run a loop over the base-p digits.
-Multiplication runs off discrete-log tables against the smallest
-generator, built lazily; fields too large for tables fall back to
-polynomial arithmetic per operation. ``add_array``/``mul_array`` expose
-full q x q numpy operation tables for vectorised enumeration work.
+The scalar ops ``add``, ``neg``, ``sub`` and ``mul`` share one ladder of
+tiers, each op taking the first that applies: XOR of indices over
+GF(2^e) (for ``add``, ``neg`` and ``sub``); integers mod p over a prime
+field; over an extension field with q at most ``GRID_TABLE_MAX``, lists
+built once per field (the rows of the q x q add and mul tables, and the
+negation of each element), whose entries are the q element ints
+themselves; past that bound, a loop over the base-p digits (``add``,
+``neg``, ``sub``) or discrete-log tables against the smallest generator,
+then polynomial arithmetic (``mul``). Prime fields are tested first and
+never read a table, because reading a cached table moves the instance's
+attributes into a dict and slows every later op. ``add_array`` and
+``mul_array`` expose full q x q numpy operation tables for vectorised
+enumeration work.
 """
 
 from __future__ import annotations
@@ -285,17 +289,23 @@ class FiniteField:
         return s
 
     def sub(self, a: int, b: int) -> int:
-        # tested first: reading a cached property moves the instance's
-        # attributes into a dict, and every scalar op on it gets slower
-        if self.e > 1 and self.p != 2:
-            negs = self._neg_list
-            if negs is not None:
-                return self._add_rows[a][negs[b]]
+        # the integer tiers come first: reading a cached property moves the
+        # instance's attributes into a dict, and every scalar op on it gets slower
+        if self.e == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        negs = self._neg_list
+        if negs is not None:
+            return self._add_rows[a][negs[b]]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
+        rows = self._mul_rows
+        if rows is not None:
+            return rows[a][b]
         if a == 0 or b == 0:
             return 0
         el = self._exp_log
@@ -400,11 +410,24 @@ class FiniteField:
             table[1:, 1:] = np.array(exp, dtype=np.int64)[grid]
         return table.astype(self.dtype)
 
+    def _shared_rows(self, table):
+        # one list per row, gathered from an object array of the q element
+        # ints, so every entry is one of them: tolist() of the whole table
+        # would make a fresh int per entry past 256
+        ints = np.arange(self.q).astype(object)
+        return [ints[row].tolist() for row in table]
+
     @functools.cached_property
     def _add_rows(self):
         if self.q > GRID_TABLE_MAX:
             return None
-        return self.add_array.tolist()
+        return self._shared_rows(self.add_array)
+
+    @functools.cached_property
+    def _mul_rows(self):
+        if self.q > GRID_TABLE_MAX:
+            return None
+        return self._shared_rows(self.mul_array)
 
     @functools.cached_property
     def _neg_list(self):

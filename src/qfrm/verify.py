@@ -16,9 +16,10 @@ from .codes import (
     coset_assembled_distribution,
     distribution,
     hrm2_distribution,
-    prm2_distribution,
-    rm2_distribution,
 )
+# rm2_distribution and prm2_distribution stay importable here: perfbench/tracing.py
+# wraps them under this module's name
+from .codes import prm2_distribution, rm2_distribution  # noqa: F401
 from .errors import BudgetExceeded, UnsupportedParameters, admit
 from .field import field_from_order
 from .forms import admissible_tags, affine_shift_steps, canonical_form
@@ -101,13 +102,17 @@ def check_spectra(q, m, max_evals=DEFAULT_ORACLE_BUDGET):
 
 
 def check_codes(q, m, max_steps=DEFAULT_STEP_BUDGET):
+    # each family's closed-form table is built once; the assembled and
+    # hrm2/(q-1) lines read it, or the reason it is undefined
     results = []
+    tables, undefined = {}, {}
     for family in ("rm2", "hrm2", "prm2"):
         name = f"codes {family} q={q} m={m} formula=brute"
         try:
-            formula = distribution(family, q, m)
+            tables[family] = formula = distribution(family, q, m)
         except UnsupportedParameters as exc:  # e.g. binary rm2 with m < 2
-            results.append(CheckResult(name, True, f"not defined: {exc}", skipped=True))
+            undefined[family] = f"not defined: {exc}"
+            results.append(CheckResult(name, True, undefined[family], skipped=True))
             continue
         try:
             brute = brute_force_distribution(family, q, m, max_steps=max_steps)
@@ -118,16 +123,14 @@ def check_codes(q, m, max_steps=DEFAULT_STEP_BUDGET):
     if q > 2 and m >= 1:
         name = f"codes rm2 q={q} m={m} formula=assembled"
         assembled = coset_assembled_distribution(q, m)
-        results.append(CheckResult(name, assembled.entries == rm2_distribution(q, m).entries))
+        results.append(CheckResult(name, assembled.entries == tables["rm2"].entries))
     name = f"codes prm2 q={q} m={m} = hrm2/(q-1)"
-    try:
-        prm = prm2_distribution(q, m)
-    except UnsupportedParameters as exc:  # prm2 with m < 1
-        results.append(CheckResult(name, True, f"not defined: {exc}", skipped=True))
+    if "prm2" in undefined:  # prm2 with m < 1
+        results.append(CheckResult(name, True, undefined["prm2"], skipped=True))
         return results
     hrm = hrm2_distribution(q, m + 1)
     scaled = {w // (q - 1): f for w, f in hrm.entries.items()}
-    results.append(CheckResult(name, scaled == prm.entries))
+    results.append(CheckResult(name, scaled == tables["prm2"].entries))
     return results
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,87 @@ def test_sub_over_even_q_is_xor(e):
         assert [f.sub(a, b) for b in range(f.q)] == [a ^ b for b in range(f.q)]
     big = field_new(2, 17)
     assert big.sub(12345, 54321) == 12345 ^ 54321 and big.neg(12345) == 12345
+
+
+def _poly_mul_ref(a, b, p, modulus):
+    """a * b as polynomials over GF(p) in base-p digits, reduced modulo the
+    monic ``modulus``: the reference for mul, apart from its tables."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, e - 1, -1):
+        c = prod[k]
+        for i in range(e):
+            prod[k - e + i] -= c * modulus[i]
+    return sum(prod[k] % p * p ** k for k in range(e))
+
+
+# the extension fields of order at most 125, both parities
+EXTENSIONS_125 = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6)] + ODD_EXTENSIONS_125
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS_125)
+def test_mul_matches_polynomial_product_exhaustive(p, e):
+    f = field_new(p, e)
+    for a in range(f.q):
+        assert [f.mul(a, b) for b in range(f.q)] == [_poly_mul_ref(a, b, p, f.modulus) for b in range(f.q)]
+
+
+# the top of the table tier, and GF(3^7), GF(2^11) past it
+@pytest.mark.parametrize("p,e", [(2, 10), (3, 6), (31, 2), (3, 7), (2, 11)])
+def test_mul_matches_polynomial_product_sampled(p, e):
+    f = field_new(p, e)
+    rng = random.Random(p ** e)
+    for a, b in [(0, 0), (f.q - 1, 1), (1, f.q - 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]:
+        assert f.mul(a, b) == _poly_mul_ref(a, b, p, f.modulus)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_prime_field_sub_is_integers_mod_p(p):
+    f = field_new(p)
+    for a in range(p):
+        assert [f.sub(a, b) for b in range(p)] == [(a - b) % p for b in range(p)]
+
+
+def test_prime_field_sub_is_integers_mod_p_sampled():
+    p = 1_048_573
+    f = field_new(p)
+    rng = random.Random(p)
+    for a, b in [(0, 0), (0, 1), (p - 1, 1), (1, p - 1)] + [(rng.randrange(p), rng.randrange(p)) for _ in range(500)]:
+        assert f.sub(a, b) == (a - b) % p
+
+
+@pytest.mark.parametrize("p", [7, 2])
+def test_prime_field_scalar_ops_read_no_table(p):
+    # reading a cached property moves the instance's attributes into a dict,
+    # and every scalar op on it gets slower; prime fields must never do so
+    f = FiniteField(p)
+    for a in range(p):
+        for b in range(p):
+            f.add(a, b), f.neg(b), f.sub(a, b), f.mul(a, b)
+            if b:
+                f.inv(b)
+    tables = {"_add_rows", "_neg_list", "_mul_rows", "_exp_log", "add_array", "mul_array"}
+    assert tables.isdisjoint(vars(f))
+
+
+# the numpy table is the vectorised layer's and is built before tracing;
+# tolist() of the whole table would hold 33.6 MB and 29.1 MB here
+@pytest.mark.parametrize("p,e,rows,array", [(2, 10, "_mul_rows", "mul_array"), (31, 2, "_add_rows", "add_array")])
+def test_row_tables_share_the_element_ints(p, e, rows, array):
+    f = FiniteField(p, e)
+    table = getattr(f, array)
+    tracemalloc.start()
+    try:
+        got = getattr(f, rows)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 12 * 2 ** 20 and peak < 16 * 2 ** 20
+    assert got == table.tolist()
+    assert len({id(x) for row in got for x in row}) == f.q
 
 
 @pytest.mark.parametrize("p,e", PRIME_POWERS_64)
