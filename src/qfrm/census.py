@@ -16,21 +16,13 @@ the coset and weight structure does not depend on their type.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InexactDivision, InternalInconsistency, OutOfRange, admit
 from .field import FiniteField, field_from_order
-from .forms import (
-    _BLOCK,
-    TYPE_LABELS,
-    _coordinate_planes,
-    _form_blocks,
-    _monomial_planes,
-    triangle_size,
-)
+from .forms import TYPE_LABELS, _form_blocks, _monomial_planes, triangle_pairs, triangle_size
 # classify stays importable here, though the oracle no longer calls it:
 # perfbench/tracing.py wraps it under this module's name
 from .forms import classify  # noqa: F401
@@ -119,18 +111,6 @@ def census_formula(q: int, m: int, unit=1) -> CensusTable:
     return CensusTable(q, m, entries)
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_shifts(field: FiniteField, m: int):
-    """For each coordinate i, the index of the point y + e_i at every y."""
-    q = field.q
-    step = field.add_array[:, 1].astype(np.intp) - np.arange(q)  # a + 1 - a, as indices
-    idx = np.arange(q ** m, dtype=np.intp)
-    return tuple(
-        idx + step[plane] * q ** (m - 1 - i)
-        for i, plane in enumerate(_coordinate_planes(field, m))
-    )
-
-
 def _rank_and_type(field: FiniteField, m: int, values: np.ndarray):
     """Rank and type tag of every form in ``values``, shape (q^m, F): the
     column of form f holds Q_f on the points in index order. Tags are +1
@@ -147,8 +127,11 @@ def _rank_and_type(field: FiniteField, m: int, values: np.ndarray):
     add = field.add_array
     zeros = values == 0
     radical = zeros.copy() if q % 2 == 0 else np.ones(values.shape, dtype=bool)
-    for i, shift in enumerate(_unit_shifts(field, m)):
-        radical &= values[shift] == add[values, values[q ** (m - 1 - i)]]
+    grid = values.reshape((q,) * m + (-1,))
+    for i in range(m):
+        # Q(y + e_i) at every y: coordinate i of the grid moved on by one
+        shifted = np.take(grid, add[:, 1], axis=i).reshape(values.shape)
+        radical &= shifted == add[values, values[q ** (m - 1 - i)]]
     log = np.full(n + 1, -1)
     log[q ** np.arange(m + 1)] = np.arange(m + 1)
     dims = log[radical.sum(axis=0)]
@@ -175,7 +158,7 @@ def census_exhaustive(q: int, m: int) -> CensusTable:
     # tally[rank, tag + 1], tags -1, 0 (untyped), +1
     tally = np.zeros(3 * (m + 1), dtype=np.int64)
     add = fld.add_array
-    for low, high in _form_blocks(fld, _monomial_planes(fld, m), max(1, _BLOCK // q ** m)):
+    for low, high in _form_blocks(fld, _monomial_planes(fld, m, triangle_pairs(m)), q ** m):
         rank, tag = _rank_and_type(fld, m, add[low, high])
         tally += np.bincount(3 * rank + tag + 1, minlength=len(tally))
     label = _odd_rank_label(q)

@@ -49,6 +49,7 @@ from .errors import (
     NonDivisibleWeight,
     OutOfRange,
     QfrmError,
+    count_text,
 )
 from .field import MAX_ORDER, field_from_order
 from .forms import (
@@ -95,8 +96,8 @@ def _check_output_size(q: int, exponent: int) -> None:
     bits = (exponent * log2_q + (1 << 32) - 1) >> 32
     if bits > MAX_OUTPUT_BITS:
         raise OutOfRange(
-            f"output would hold numbers of about {bits} bits ({q}^{exponent}), "
-            f"over the cap of {MAX_OUTPUT_BITS} bits"
+            f"output would hold numbers of about {count_text(bits)} bits "
+            f"({q}^{count_text(exponent)}), over the cap of {MAX_OUTPUT_BITS} bits"
         )
 
 
@@ -214,14 +215,14 @@ def _cmd_classify(args) -> int:
             "m": m,
             "rank": rt.rank,
             "type": rt.label,
-            "zero_count": str(zeros),
+            "zero_count": count_text(zeros),
             "canonical": format_coeffs(canonical),
         }))
     else:
         _emit(args, "\n".join([
             f"rank={rt.rank}",
             f"type={rt.label}",
-            f"zeros={zeros}",
+            f"zeros={count_text(zeros)}",
             f"canonical={format_coeffs(canonical)}",
         ]))
     return 0
@@ -285,35 +286,38 @@ def _cmd_spectrum(args) -> int:
             "rank": args.rank,
             "type": TYPE_LABELS[tag],
             "c_class": args.c_class,
-            "population": str(spectrum.population),
+            "population": count_text(spectrum.population),
             "entries": spectrum.to_json_entries(),
         }))
     elif args.format == "csv":
-        lines = ["value,multiplicity"] + [f"{v},{k}" for v, k in spectrum.sorted_items()]
+        lines = ["value,multiplicity"] + [f"{v},{k}" for v, k in spectrum.text_items()]
         _emit(args, "\n".join(lines))
     else:
-        lines = [f"population={spectrum.population}"]
-        lines += [f"{v} {k}" for v, k in spectrum.sorted_items()]
+        lines = [f"population={count_text(spectrum.population)}"]
+        lines += [f"{v} {k}" for v, k in spectrum.text_items()]
         _emit(args, "\n".join(lines))
     return 0
 
 
 def _parse_range(spec: str | None) -> list[range] | None:
-    """The values of a ``1,3-5`` list as unexpanded ranges, in order."""
+    """The values of a ``1,3-5`` list as unexpanded ranges, in order. A
+    bound is capped at sys.maxsize, which refuses no run (every q past
+    MAX_ORDER and every m past MAX_OUTPUT_BITS is refused later anyway)
+    but leaves a long digit run unconverted."""
     if spec is None:
         return None
     out = []
     for part in spec.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            if not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
-                raise QfrmError(f"bad range {part!r}")
-            out.append(range(int(lo), int(hi) + 1))
-        elif part.isdigit():
-            out.append(range(int(part), int(part) + 1))
-        else:
-            raise QfrmError(f"bad range element {part!r}")
+        lo, dash, hi = part.partition("-")
+        if not dash:
+            hi = lo
+        if not lo.isdigit() or not hi.isdigit():
+            raise QfrmError(f"bad range {part!r}" if dash else f"bad range element {part!r}")
+        lo, hi = (_number(d, "a range bound", sys.maxsize) for d in (lo, hi))
+        if lo > hi:
+            raise QfrmError(f"bad range {part!r}")
+        out.append(range(lo, hi + 1))
     return out
 
 
@@ -455,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # exact counts can run past CPython's default cap on int-to-decimal
-    # conversion; lift it while this command renders, restore it after
-    digit_cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         if args.command == "classify" and not args.file:
             if args.q is None or args.m is None:
@@ -478,5 +478,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        sys.set_int_max_str_digits(digit_cap)

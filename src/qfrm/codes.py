@@ -33,7 +33,6 @@ from .census import _exact_div, census_formula, count_even_rank, count_odd_rank 
 from .errors import InternalInconsistency, NonDivisibleWeight, UnsupportedParameters, admit
 from .field import field_from_order
 from .forms import (
-    _BLOCK,
     TYPE_LABELS,
     _form_blocks,
     _monomial_planes,
@@ -263,13 +262,11 @@ def brute_force_distribution(
     per_part = n if family == "hrm2" else affine_shift_steps(q, m)
     admit(parts * per_part, max_steps, "transform steps")
     field = field_from_order(q)
-    planes = _monomial_planes(field, m)
-    if binary_rm2:
-        planes = [p for p, (i, j) in zip(planes, triangle_pairs(m)) if i != j]
+    pairs = [(i, j) for i, j in triangle_pairs(m) if i != j or not binary_rm2]
     neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
-    rows = max(1, _BLOCK // (n if family == "hrm2" else q * q * n))
     tally = np.zeros(params.n + 1, dtype=np.int64)
-    for low, high in _form_blocks(field, planes, rows):
+    per_form = n if family == "hrm2" else q * q * n
+    for low, high in _form_blocks(field, _monomial_planes(field, m, pairs), per_form):
         if family == "hrm2":
             # H[0, 0] is the zero count: the points where low = -high
             weights = n - (low == neg[high]).sum(axis=0, dtype=np.min_scalar_type(n))

@@ -387,28 +387,37 @@ class FiniteField:
     @functools.cached_property
     def add_array(self) -> np.ndarray:
         self._require_grid()
-        idx = np.arange(self.q, dtype=np.int64)
-        if self.p == 2:
-            table = idx[:, None] ^ idx[None, :]
-        else:
-            table = np.zeros((self.q, self.q), dtype=np.int64)
-            w = 1
-            for _ in range(self.e):
-                d = (idx // w) % self.p
-                table += w * ((d[:, None] + d[None, :]) % self.p)
-                w *= self.p
-        return table.astype(self.dtype)
+        q, p = self.q, self.p
+        if p == 2:
+            idx = np.arange(q, dtype=self.dtype)
+            return idx[:, None] ^ idx
+        # each element's base-p digits rewritten in base 2p - 1 (``spread``),
+        # so the uint16 sum of two adds digit by digit with no carry; ``fold``
+        # maps each such sum (at most 5^6 of them, at q = 3^6) to the element
+        # whose digits are its digits mod p
+        base = 2 * p - 1
+        idx, keys = np.arange(q), np.arange(base ** self.e)
+        spread = np.zeros(q, dtype=np.uint16)
+        fold = np.zeros(len(keys), dtype=self.dtype)
+        w = 1
+        for k in range(self.e):
+            spread += (idx // w % p * base ** k).astype(np.uint16)
+            fold += (keys // base ** k % base % p * w).astype(self.dtype)
+            w *= p
+        return fold[spread[:, None] + spread]
 
     @functools.cached_property
     def mul_array(self) -> np.ndarray:
         self._require_grid()
         exp, log = self._exp_log
-        table = np.zeros((self.q, self.q), dtype=np.int64)
-        if self.q > 1:
-            la = np.array(log[1:], dtype=np.int64)
-            grid = (la[:, None] + la[None, :]) % (self.q - 1)
-            table[1:, 1:] = np.array(exp, dtype=np.int64)[grid]
-        return table.astype(self.dtype)
+        # uint16 sums of two logs (at most 2q - 4), reduced in place, then
+        # gathered from the exp table; row and column 0 are cleared after
+        logs = np.array(log, dtype=np.uint16)
+        sums = logs[:, None] + logs
+        sums %= self.q - 1
+        table = np.array(exp, dtype=self.dtype)[sums]
+        table[0] = table[:, 0] = 0
+        return table
 
     def _shared_rows(self, table):
         # one list per row, gathered from an object array of the q element

@@ -10,14 +10,15 @@ row-major. For even q that table is the unique representation
 symmetric coefficient matrix (c_ji = c_ij), so the stored form evaluates
 as ``sum_i c_ii x_i^2 + sum_{i<j} 2 c_ij x_i x_j``.
 
-Points of GF(q)^m are tuples of element indices; the point with index n
-has base-q digits of n as coordinates, leftmost coordinate most
-significant, so point 0 is the zero vector.
+The enumeration oracles lay the points of GF(q)^m out as an m-axis grid
+of element indices, coordinate i along axis i; raveling the grid gives
+the index order, in which the point with index n has the base-q digits
+of n as coordinates, leftmost coordinate most significant, so point 0 is
+the zero vector.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -166,37 +167,38 @@ def zero_count_formula(rank: int, type_tag, q: int, m: int) -> int:
     return q ** (m - 1) + type_tag * q ** (m - (rank + 2) // 2) * (q - 1)
 
 
-@functools.lru_cache(maxsize=8)
-def _coordinate_planes(field: FiniteField, m: int):
-    n = field.q ** m
-    idx = np.arange(n, dtype=np.int64)
-    planes = []
-    for i in range(m):
-        w = field.q ** (m - 1 - i)
-        planes.append(((idx // w) % field.q).astype(field.dtype))
-    return tuple(planes)
-
-
-@functools.lru_cache(maxsize=8)
-def _monomial_planes(field: FiniteField, m: int):
-    planes = _coordinate_planes(field, m)
+def _term(field: FiniteField, m: int, i: int, j: int) -> np.ndarray:
+    """x_i x_j on the m-axis grid of GF(q)^m, read off the mul table (its
+    diagonal when i = j): q entries along axes i and j, and 1 along every
+    later axis, so it broadcasts into any array of the grid's shape."""
+    q = field.q
     mul = field.mul_array
-    return tuple(mul[planes[i], planes[j]] for i, j in triangle_pairs(m))
+    if i == j:
+        return mul.diagonal().reshape((q,) + (1,) * (m - 1 - i))
+    return mul.reshape((q,) + (1,) * (j - i - 1) + (q,) + (1,) * (m - 1 - j))
 
 
-def _form_blocks(field, planes, rows):
+def _monomial_planes(field: FiniteField, m: int, pairs) -> list[np.ndarray]:
+    """x_i x_j for each (i, j) in ``pairs``, on the q^m points in index order."""
+    shape = (field.q,) * m
+    return [np.broadcast_to(_term(field, m, i, j), shape).ravel() for i, j in pairs]
+
+
+def _form_blocks(field, planes, per_form):
     """Every linear combination of ``planes`` over the field, in blocks of
-    at most ``rows`` combinations (at least one). A block is a pair
-    (low, high) whose values are low + high, point by point: ``low`` has
-    one column per combination of the last planes and is built once,
-    ``high`` is one column that walks the span of the rest. With no
-    planes (m = 0) the one combination is zero on the one point.
+    as many combinations as keep ``per_form`` entries each within
+    ``_BLOCK`` (at least one). A block is a pair (low, high) whose values
+    are low + high, point by point: ``low`` has one column per
+    combination of the last planes and is built once, ``high`` is one
+    column that walks the span of the rest. With no planes (m = 0) the
+    one combination is zero on the one point.
 
     Over any q the span of the monomial planes x_i x_j (i <= j) is the set
     of quadratic forms, one function per coefficient table: over odd q
     the cross term 2 c_ij x_i x_j runs over the same span, as 2 is a unit.
     """
     add, mul = field.add_array, field.mul_array
+    rows = max(1, _BLOCK // per_form)
     low = np.zeros((len(planes[0]) if planes else 1, 1), dtype=field.dtype)
     split = len(planes)
     while split and low.shape[1] * field.q <= rows:
@@ -213,26 +215,20 @@ def values_on_domain(form: QuadraticForm) -> np.ndarray:
     """Q evaluated at every point of GF(q)^m in index order.
 
     Built from the field's q x q operation tables, so q is limited to
-    ``GRID_TABLE_MAX``; larger fields raise FieldTooLarge. The points are
-    an m-axis grid, coordinate i along axis i, and each nonzero term
-    c x_i x_j is read off the mul table (its diagonal when i = j) and
-    broadcast into the sum along axes i and j, so no array but the sum
-    holds q^m entries.
+    ``GRID_TABLE_MAX``; larger fields raise FieldTooLarge. Each nonzero
+    term c x_i x_j is c times ``_term``, broadcast into the sum along axes
+    i and j, so no array but the sum holds q^m entries.
     """
     fld = form.field
     add, mul = fld.add_array, fld.mul_array
     m, q = form.m, fld.q
     acc = np.zeros((q,) * m, dtype=fld.dtype)
-    for k, (i, j) in enumerate(triangle_pairs(m)):
-        c = form.coeffs[k]
+    for (i, j), c in zip(triangle_pairs(m), form.coeffs):
         if not c:
             continue
-        if i == j:
-            term = mul[c][mul.diagonal()].reshape((q,) + (1,) * (m - 1 - i))
-        else:
-            c = fld.add(c, c) if fld.p != 2 else c  # the stored c_ij counts twice
-            term = mul[c][mul].reshape((q,) + (1,) * (j - i - 1) + (q,) + (1,) * (m - 1 - j))
-        acc = add[acc, term]
+        if i != j and fld.p != 2:
+            c = fld.add(c, c)  # the stored c_ij counts twice
+        acc = add[acc, mul[c][_term(fld, m, i, j)]]
     return acc.ravel()
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentQuery, InternalInconsistency, UnsupportedForBinary, admit
+from .errors import InconsistentQuery, InternalInconsistency, UnsupportedForBinary, admit, count_text
 from .census import _exact_div
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
@@ -72,8 +72,12 @@ class SpectrumMultiset:
     def sorted_items(self):
         return sorted(self.entries.items())
 
+    def text_items(self):
+        """``sorted_items`` as decimal text, however long the numbers."""
+        return [(count_text(v), count_text(k)) for v, k in self.sorted_items()]
+
     def to_json_entries(self):
-        return [{"value": str(v), "multiplicity": str(k)} for v, k in self.sorted_items()]
+        return [{"value": v, "multiplicity": k} for v, k in self.text_items()]
 
 
 @dataclass(frozen=True)

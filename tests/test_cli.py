@@ -866,6 +866,46 @@ def test_dist_renders_frequencies_past_int_digit_cap(capsys, fmt):
     assert entries == rm2_distribution(2, 180).entries
 
 
+PAST_THE_DIGIT_CAP = [
+    *[["spectrum", "--q", "2", "--m", "65535", "--rank", "2", "--type", "plus", "--format", fmt]
+      for fmt in ("text", "json", "csv")],
+    *[["dist", "--family", "rm2", "--q", "2", "--m", "180", "--format", fmt] for fmt in ("text", "json", "csv")],
+    ["classify", "--q", "1048576", "--m", "800", "--coeffs", "", "--format", "text"],
+    ["classify", "--q", "1048576", "--m", "800", "--coeffs", "", "--format", "json"],
+    ["count", "--q", "3", "--m", "9" * 4200],
+    ["verify", "--scope", "census", "--q", "2", "--m", "9" * 4301],
+]
+
+
+def test_output_past_the_digit_cap_leaves_the_cap_alone(capsys, monkeypatch):
+    # the numbers printed here (and the figures of the count and verify
+    # refusals) run past CPython's default 4300-digit cap on str() of an
+    # int; main renders them without touching that interpreter-wide cap,
+    # and prints what it printed with the cap lifted
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lifted = [run(capsys, *argv) for argv in PAST_THE_DIGIT_CAP]
+    finally:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+
+    def refuse(digits):
+        raise AssertionError("main changed the int-to-str digit cap")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    try:
+        capped = [run(capsys, *argv) for argv in PAST_THE_DIGIT_CAP]
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(cap)
+    assert [code for code, _, _ in capped] == [0] * 8 + [2, 2]
+    for argv, (code, out, err), (code_0, out_0, _) in zip(PAST_THE_DIGIT_CAP, capped, lifted):
+        assert (code, out) == (code_0, out_0), argv[:2]
+        assert (err == "") == (code == 0), argv[:2]
+    assert max(len(line) for _, out, _ in capped for line in out.split()) > 4300
+    assert "more than 19 digits" in capped[-1][2]
+
+
 @pytest.mark.parametrize("argv, bits", [
     (["count", "--q", "3", "--m", "5000"], 19815994),
     (["spectrum", "--q", "3", "--m", "100000000", "--rank", "2", "--type", "plus"], 158496252),

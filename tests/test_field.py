@@ -223,6 +223,37 @@ def test_row_tables_share_the_element_ints(p, e, rows, array):
     assert len({id(x) for row in got for x in row}) == f.q
 
 
+def _digit_sum(p, a, b):
+    """a + b in GF(p^e), base-p digit by digit."""
+    s, w = 0, 1
+    while a or b:
+        s += (a % p + b % p) % p * w
+        a, b, w = a // p, b // p, w * p
+    return s
+
+
+# the q x q tables are built from uint16 sums of digits or logs, never
+# through q x q int64 arrays (8 MB each at q = 1024)
+@pytest.mark.parametrize("p,e,array", [
+    (2, 10, "mul_array"), (31, 2, "add_array"), (31, 2, "mul_array"),
+    (1021, 1, "add_array"), (1021, 1, "mul_array"),
+])
+def test_table_build_peaks_within_four_tables(p, e, array):
+    f = FiniteField(p, e)
+    tracemalloc.start()
+    try:
+        table = getattr(f, array)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint16 and table.shape == (f.q, f.q)
+    assert peak <= 4 * table.nbytes
+    op = f._mul_raw if array == "mul_array" else (lambda a, b: _digit_sum(p, a, b))
+    rng = random.Random(p ** e)
+    pairs = [(0, 0), (0, f.q - 1), (f.q - 1, 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]
+    assert [int(table[a, b]) for a, b in pairs] == [op(a, b) for a, b in pairs]
+
+
 @pytest.mark.parametrize("p,e", PRIME_POWERS_64)
 def test_trace_linear_and_surjective(p, e):
     f = field_new(p, e)

@@ -24,6 +24,7 @@ from qfrm.forms import (
     POINT_BUDGET,
     QuadraticForm,
     RankType,
+    _monomial_planes,
     admissible_tags,
     affine_shift_counts,
     affine_shift_steps,
@@ -188,14 +189,28 @@ def test_values_on_domain_match_pointwise_evaluation(q):
             assert values.tolist() == evaluate(Q, points(fld, m)).tolist(), (q, m, Q.coeffs)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_monomial_planes_match_pointwise_products(q, m):
+    # every i <= j pair, as the census oracle asks, and the i < j subset of
+    # binary rm2, whose squares are linear
+    fld = SMALL_FIELDS[q]
+    xs = points(fld, m).tolist()
+    every = triangle_pairs(m)
+    for pairs in (every, [(i, j) for i, j in every if i < j]):
+        planes = _monomial_planes(fld, m, pairs)
+        assert len(planes) == len(pairs)
+        for (i, j), plane in zip(pairs, planes):
+            assert plane.dtype == fld.dtype
+            assert plane.tolist() == [fld.mul(x[i], x[j]) for x in xs], (q, m, i, j)
+
+
 def test_zero_count_builds_no_monomial_planes():
     # the 171 planes x_i x_j of GF(2)^18 would take 45 MB; the sum of the
     # terms takes 2^18 bytes, and each term q^2
     sparse = form(F2, 18, {(0, 1): 1, (2, 17): 1, (16, 16): 1})
     for Q in (QuadraticForm.zero(F2, 18), sparse):
         rt = classify(Q)
-        forms_module._coordinate_planes.cache_clear()
-        forms_module._monomial_planes.cache_clear()
         tracemalloc.start()
         try:
             zeros = zero_count_exhaustive(Q)
