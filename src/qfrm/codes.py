@@ -30,7 +30,7 @@ import numpy as np
 # count_even_rank and count_odd_rank stay importable here: perfbench/tracing.py
 # wraps them under this module's names
 from .census import _exact_div, census_formula, count_even_rank, count_odd_rank  # noqa: F401
-from .errors import InternalInconsistency, NonDivisibleWeight, UnsupportedParameters, admit
+from .errors import InternalInconsistency, NonDivisibleWeight, UnsupportedParameters, admit, count_text
 from .field import field_from_order
 from .forms import (
     TYPE_LABELS,
@@ -48,9 +48,10 @@ from .spectra import coset_weight_multiset, merged_rows  # noqa: F401
 
 FAMILIES = ("rm2", "hrm2", "prm2")
 
-# transform steps brute_force_distribution may take by default: 2^31 runs in
-# seconds at 2 * 10^8 to 1.2 * 10^9 steps/s, where 2^32 would admit rm2 at
-# (q, m) = (7, 3) and (23, 2), over 10 s each
+# transform steps brute_force_distribution may take by default; measured rates
+# run from 2.7 * 10^7 steps/s (hrm2 (73, 2), 2^30.95 steps in 76 s) to
+# 4.1 * 10^8 (rm2 (19, 2), 2^29.8 in 2.3 s), so an admitted pair may take over
+# a minute; 2^32 would admit rm2 at (7, 3) and (23, 2), over 10 s each
 DEFAULT_STEP_BUDGET = 1 << 31
 
 
@@ -109,13 +110,13 @@ class WeightDistribution:
             "k": self.params.k,
             "d": self.params.d,
             "distribution": [
-                {"weight": w, "frequency": str(f)} for w, f in self.sorted_items()
+                {"weight": w, "frequency": _frequency_text(f)} for w, f in self.sorted_items()
             ],
         }
 
     def to_csv(self) -> str:
         lines = ["weight,frequency"]
-        lines += [f"{w},{f}" for w, f in self.sorted_items()]
+        lines += [f"{w},{_frequency_text(f)}" for w, f in self.sorted_items()]
         return "\n".join(lines)
 
 
@@ -293,6 +294,12 @@ def coset_assembled_distribution(q: int, m: int) -> WeightDistribution:
 
 # -- rendering ---------------------------------------------------------------------------
 
+def _frequency_text(f) -> str:
+    # an int table prints through count_text, past CPython's digit cap; the
+    # exact Decimal frequencies of the CLI's tables print with str
+    return count_text(f) if isinstance(f, int) else str(f)
+
+
 def format_enumerator(entries: dict[int, int]) -> str:
     """Polynomial text ``1 + A*Z^w + ...``, ascending weights, unit
     coefficients printed bare."""
@@ -301,11 +308,11 @@ def format_enumerator(entries: dict[int, int]) -> str:
         if not f:
             continue
         if w == 0:
-            terms.append(str(f))
+            terms.append(_frequency_text(f))
         elif f == 1:
             terms.append(f"Z^{w}")
         else:
-            terms.append(f"{f}*Z^{w}")
+            terms.append(f"{_frequency_text(f)}*Z^{w}")
     return " + ".join(terms) if terms else "0"
 
 

@@ -11,15 +11,18 @@ whose digit encoding is smallest; candidates are scanned in encoding
 order and tested with a Rabin-style criterion, so two constructions of
 the same (p, e) agree element for element.
 
-The scalar ops ``add``, ``neg``, ``sub`` and ``mul`` share one ladder of
-tiers, each op taking the first that applies: XOR of indices over
-GF(2^e) (for ``add``, ``neg`` and ``sub``); integers mod p over a prime
-field; over an extension field with q at most ``GRID_TABLE_MAX``, lists
-built once per field (the rows of the q x q add and mul tables, and the
-negation of each element), whose entries are the q element ints
-themselves; past that bound, a loop over the base-p digits (``add``,
-``neg``, ``sub``) or discrete-log tables against the smallest generator,
-then polynomial arithmetic (``mul``). Prime fields are tested first and
+The scalar ops ``add``, ``neg``, ``sub``, ``mul`` and ``inv`` take the
+first of three tiers that applies: integers mod p over a prime field, or
+XOR of indices over GF(2^e) (``add``, ``neg``, ``sub``); over an
+extension field with q at most ``GRID_TABLE_MAX``, lists built once per
+field (the rows of the q x q add and mul tables, and the negation of
+each element), whose entries are the q element ints themselves; past
+that bound (and for ``inv`` on every extension field), discrete-log
+tables against the smallest generator g: exp, log and the Zech
+logarithms Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i))
+(Lidl and Niederreiter, *Finite Fields*). The log tables are built with
+numpy on first use, in about a second and 56 MB at q = 2^20; an op on
+zero returns before any table is read. Prime fields are tested first and
 never read a table, because reading a cached table moves the instance's
 attributes into a dict and slows every later op. ``add_array`` and
 ``mul_array`` expose full q x q numpy operation tables for vectorised
@@ -29,6 +32,7 @@ enumeration work.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -44,9 +48,6 @@ from .errors import (
 )
 
 MAX_ORDER = 1 << 20
-
-# discrete-log tables are built only up to this order
-_SCALAR_TABLE_MAX = 1 << 16
 
 # q x q numpy operation tables are built only up to this order
 GRID_TABLE_MAX = 1 << 10
@@ -67,6 +68,11 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # -- polynomial helpers over GF(p); coefficient lists, constant term first --
+
+def _digits(a, p, e):
+    # the e base-p digits of a: its coefficients in the polynomial basis
+    return [a // p ** k % p for k in range(e)]
+
 
 def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -168,56 +174,26 @@ class FiniteField:
         self.e = e
         self.q = p ** e
         self.modulus = self._find_modulus(p, e)
-        # modulus packed as an int bitmask, used by the char-2 fast path
-        self._mod_mask = sum(c << i for i, c in enumerate(self.modulus))
 
     @staticmethod
     def _find_modulus(p, e):
         for v in range(p ** e):
-            low = []
-            t = v
-            for _ in range(e):
-                low.append(t % p)
-                t //= p
-            poly = low + [1]
+            poly = _digits(v, p, e) + [1]
             if _is_irreducible(poly, p):
                 return tuple(poly)
         raise InternalInconsistency("no irreducible polynomial found")  # unreachable
 
     # -- element encoding ---------------------------------------------------
 
-    def _int_to_poly(self, a):
-        out = []
-        while a:
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _poly_to_int(self, poly):
-        a = 0
-        for c in reversed(poly):
-            a = a * self.p + c
-        return a
-
     def elements(self) -> range:
         return range(self.q)
 
-    # -- raw arithmetic (used for bootstrap and oversized fields) ------------
+    # -- raw arithmetic (used to bootstrap the tables) -----------------------
 
     def _mul_raw(self, a, b):
-        if self.p == 2:
-            r = 0
-            top = 1 << self.e
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= self._mod_mask
-            return r
-        prod = _poly_mul(self._int_to_poly(a), self._int_to_poly(b), self.p)
-        return self._poly_to_int(_poly_mod(prod, list(self.modulus), self.p))
+        p, e = self.p, self.e
+        prod = _poly_mod(_poly_mul(_digits(a, p, e), _digits(b, p, e), p), list(self.modulus), p)
+        return sum(c * p ** k for k, c in enumerate(prod))
 
     def _pow_raw(self, a, n):
         r = 1
@@ -240,16 +216,38 @@ class FiniteField:
 
     @functools.cached_property
     def _exp_log(self):
-        if self.q > _SCALAR_TABLE_MAX:
-            return None
+        """exp[k] = g^k for the smallest generator g, log its inverse (log[0]
+        = 0) and Zech logarithms zech[k] = log(1 + g^k), -1 where 1 + g^k = 0.
+        Multiplying by c is a GF(p)-linear map on rows of base-p digits, so
+        the powers come a block of s at a time, s^2 >= q - 1: the first block
+        doubles from g^0, and each next block is the last one times g^s."""
+        p, e, n = self.p, self.e, self.q - 1
         g = self._find_generator()
-        exp = [1] * (self.q - 1)
-        for k in range(1, self.q - 1):
-            exp[k] = self._mul_raw(exp[k - 1], g)
-        log = [0] * self.q
-        for k, v in enumerate(exp):
-            log[v] = k
-        return exp, log
+        size = math.isqrt(n - 1) + 1
+        place = p ** np.arange(e)
+
+        def times(c):
+            # row j holds the digits of c * x^j, so rows @ times(c) % p is c * rows
+            return np.array([self._mul_raw(c, int(w)) for w in place])[:, None] // place % p
+
+        block = np.eye(1, e, dtype=np.int64)
+        while len(block) < size:
+            block = np.concatenate([block, block @ times(self._pow_raw(g, len(block))) % p])
+        block, step = block[:size], times(self._pow_raw(g, size))
+        exp = np.empty((size, size), dtype=np.intc)
+        for row in exp:
+            row[:] = block @ place
+            block = block @ step % p
+        exp = exp.ravel()[:n]
+        log = np.zeros(self.q, dtype=np.intc)
+        log[exp] = np.arange(n, dtype=np.intc)
+        # 1 + g^k: the constant digit of g^k plus one
+        zech = log[exp - exp % p + (exp + 1) % p]
+        zech[log[p - 1]] = -1
+        # lists, whose reads allocate no int; all three share one int per
+        # value -1 .. q - 1, 56 MB in all at q = 2^20
+        ints = np.arange(-1, self.q).astype(object)
+        return tuple(ints[t + 1].tolist() for t in (exp, log, zech))
 
     # -- field operations -----------------------------------------------------
 
@@ -261,15 +259,12 @@ class FiniteField:
         rows = self._add_rows
         if rows is not None:
             return rows[a][b]
-        p = self.p
-        s = 0
-        w = 1
-        while a or b:
-            s += ((a + b) % p) * w
-            a //= p
-            b //= p
-            w *= p
-        return s
+        if a == 0 or b == 0:
+            return a + b
+        exp, log, zech = self._exp_log
+        n = self.q - 1
+        z = zech[(log[b] - log[a]) % n]
+        return 0 if z < 0 else exp[(log[a] + z) % n]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -279,14 +274,11 @@ class FiniteField:
         negs = self._neg_list
         if negs is not None:
             return negs[a]
-        p = self.p
-        s = 0
-        w = 1
-        while a:
-            s += ((p - a % p) % p) * w
-            a //= p
-            w *= p
-        return s
+        if a == 0:
+            return 0
+        exp, log, _ = self._exp_log
+        n = self.q - 1
+        return exp[(log[a] + n // 2) % n]  # -1 = g^((q - 1) / 2)
 
     def sub(self, a: int, b: int) -> int:
         # the integer tiers come first: reading a cached property moves the
@@ -308,10 +300,7 @@ class FiniteField:
             return rows[a][b]
         if a == 0 or b == 0:
             return 0
-        el = self._exp_log
-        if el is None:
-            return self._mul_raw(a, b)
-        exp, log = el
+        exp, log, _ = self._exp_log
         return exp[(log[a] + log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
@@ -319,11 +308,8 @@ class FiniteField:
             raise InverseOfZero("cannot invert 0")
         if self.e == 1:
             return pow(a, -1, self.p)
-        el = self._exp_log
-        if el is None:
-            return self._pow_raw(a, self.q - 2)
-        exp, log = el
-        return exp[(self.q - 1 - log[a]) % (self.q - 1)]
+        exp, log, _ = self._exp_log
+        return exp[-log[a] % (self.q - 1)]
 
     def pow(self, a: int, n: int) -> int:
         r = 1
@@ -409,7 +395,7 @@ class FiniteField:
     @functools.cached_property
     def mul_array(self) -> np.ndarray:
         self._require_grid()
-        exp, log = self._exp_log
+        exp, log, _ = self._exp_log
         # uint16 sums of two logs (at most 2q - 4), reduced in place, then
         # gathered from the exp table; row and column 0 are cleared after
         logs = np.array(log, dtype=np.uint16)

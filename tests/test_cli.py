@@ -866,6 +866,23 @@ def test_dist_renders_frequencies_past_int_digit_cap(capsys, fmt):
     assert entries == rm2_distribution(2, 180).entries
 
 
+LIBRARY_RENDERERS = {
+    "text": codes.weight_enumerator_text,
+    "json": lambda wd: json.dumps(wd.to_json_dict()),
+    "csv": lambda wd: wd.to_csv(),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_library_int_table_renders_past_int_digit_cap(capsys, fmt):
+    # the library's int table, not only dist's Decimal one, prints past
+    # CPython's default 4300-digit cap, and prints what dist prints
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    text = LIBRARY_RENDERERS[fmt](rm2_distribution(2, 180))
+    code, out, _ = run(capsys, "dist", "--family", "rm2", "--q", "2", "--m", "180", "--format", fmt)
+    assert code == 0 and out == text + "\n"
+
+
 PAST_THE_DIGIT_CAP = [
     *[["spectrum", "--q", "2", "--m", "65535", "--rank", "2", "--type", "plus", "--format", fmt]
       for fmt in ("text", "json", "csv")],

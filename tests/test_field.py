@@ -1,5 +1,6 @@
 """Field construction, arithmetic axioms, characters, and trace."""
 
+import functools
 import os
 import random
 import subprocess
@@ -21,6 +22,7 @@ from qfrm.errors import (
     OddCharacteristic,
 )
 from qfrm.field import FiniteField, field_from_order, field_new
+from qfrm.forms import QuadraticForm, classify
 
 PRIME_POWERS_64 = [
     (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -111,9 +113,10 @@ def _digit_sub(a, b, p, e):
 
 
 # the odd extension fields of order at most 125; GF(3^6) and GF(31^2) at
-# the top of the table tier; GF(3^7) and GF(5^5) past it
+# the top of the table tier; GF(3^7) and GF(5^5) past it, and GF(3^12) and
+# GF(31^4) near MAX_ORDER, on the log tables
 ODD_EXTENSIONS_125 = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
-ODD_EXTENSIONS_SAMPLED = [(3, 6), (31, 2), (3, 7), (5, 5)]
+ODD_EXTENSIONS_SAMPLED = [(3, 6), (31, 2), (3, 7), (5, 5), (3, 12), (31, 4)]
 
 
 @pytest.mark.parametrize("p,e", ODD_EXTENSIONS_125)
@@ -128,7 +131,7 @@ def test_neg_and_sub_match_base_p_digits_exhaustive(p, e):
 def test_neg_and_sub_match_base_p_digits_sampled(p, e):
     f = field_new(p, e)
     rng = random.Random(p ** e)
-    for a, b in [(0, 0), (f.q - 1, 1), (1, f.q - 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]:
+    for a, b in [(0, 0), (f.q - 1, 1), (1, f.q - 1), (f.q - 1, f.q - 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]:
         assert f.neg(b) == _digit_sub(0, b, p, e)
         assert f.sub(a, b) == _digit_sub(a, b, p, e)
 
@@ -168,13 +171,16 @@ def test_mul_matches_polynomial_product_exhaustive(p, e):
         assert [f.mul(a, b) for b in range(f.q)] == [_poly_mul_ref(a, b, p, f.modulus) for b in range(f.q)]
 
 
-# the top of the table tier, and GF(3^7), GF(2^11) past it
-@pytest.mark.parametrize("p,e", [(2, 10), (3, 6), (31, 2), (3, 7), (2, 11)])
+# the top of the table tier, GF(3^7) and GF(2^11) past it, and GF(3^12),
+# GF(31^4) and GF(2^20) near MAX_ORDER
+@pytest.mark.parametrize("p,e", [(2, 10), (3, 6), (31, 2), (3, 7), (2, 11), (3, 12), (31, 4), (2, 20)])
 def test_mul_matches_polynomial_product_sampled(p, e):
     f = field_new(p, e)
     rng = random.Random(p ** e)
     for a, b in [(0, 0), (f.q - 1, 1), (1, f.q - 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]:
         assert f.mul(a, b) == _poly_mul_ref(a, b, p, f.modulus)
+        if a:
+            assert _poly_mul_ref(a, f.inv(a), p, f.modulus) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
@@ -202,8 +208,17 @@ def test_prime_field_scalar_ops_read_no_table(p):
             f.add(a, b), f.neg(b), f.sub(a, b), f.mul(a, b)
             if b:
                 f.inv(b)
-    tables = {"_add_rows", "_neg_list", "_mul_rows", "_exp_log", "add_array", "mul_array"}
+    tables = {name for name, v in vars(FiniteField).items() if isinstance(v, functools.cached_property)}
+    assert tables >= {"_add_rows", "_neg_list", "_mul_rows", "_exp_log", "add_array", "mul_array"}
     assert tables.isdisjoint(vars(f))
+
+
+def test_zero_form_builds_no_log_table():
+    # every op on zero returns before a table is read: classifying the zero
+    # form over GF(2^20) must not build the 56 MB log tables
+    f = FiniteField(2, 20)
+    assert classify(QuadraticForm.zero(f, 800)).rank == 0
+    assert "_exp_log" not in vars(f)
 
 
 # the numpy table is the vectorised layer's and is built before tracing;
@@ -233,23 +248,32 @@ def _digit_sum(p, a, b):
 
 
 # the q x q tables are built from uint16 sums of digits or logs, never
-# through q x q int64 arrays (8 MB each at q = 1024)
+# through q x q int64 arrays (8 MB each at q = 1024); the log tables of
+# GF(2^20) hold at most 64 MB, built a block of powers at a time
 @pytest.mark.parametrize("p,e,array", [
     (2, 10, "mul_array"), (31, 2, "add_array"), (31, 2, "mul_array"),
-    (1021, 1, "add_array"), (1021, 1, "mul_array"),
+    (1021, 1, "add_array"), (1021, 1, "mul_array"), (2, 20, "_exp_log"),
 ])
 def test_table_build_peaks_within_four_tables(p, e, array):
     f = FiniteField(p, e)
     tracemalloc.start()
     try:
         table = getattr(f, array)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    rng = random.Random(p ** e)
+    if array == "_exp_log":
+        assert held <= 64 * 2 ** 20 and peak <= 4 * held
+        exp, log, zech = table
+        ks = [0, 1, f.q - 2] + [rng.randrange(f.q - 1) for _ in range(500)]
+        assert [log[exp[k]] for k in ks] == ks
+        assert [exp[(k + 1) % (f.q - 1)] for k in ks] == [f._mul_raw(exp[k], exp[1]) for k in ks]
+        assert [exp[zech[k]] if zech[k] >= 0 else 0 for k in ks] == [_digit_sum(p, 1, exp[k]) for k in ks]
+        return
     assert table.dtype == np.uint16 and table.shape == (f.q, f.q)
     assert peak <= 4 * table.nbytes
     op = f._mul_raw if array == "mul_array" else (lambda a, b: _digit_sum(p, a, b))
-    rng = random.Random(p ** e)
     pairs = [(0, 0), (0, f.q - 1), (f.q - 1, 1)] + [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(500)]
     assert [int(table[a, b]) for a, b in pairs] == [op(a, b) for a, b in pairs]
 
@@ -376,7 +400,7 @@ def test_field_from_order():
 
 
 def test_large_field_scalar_fallback():
-    # beyond the table limits: arithmetic still works per operation
+    # past the q x q tables: scalar arithmetic reads the log tables
     f = field_new(2, 17)
     a = 12345
     assert f.mul(a, f.inv(a)) == 1
