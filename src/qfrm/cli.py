@@ -230,6 +230,8 @@ def _cmd_classify(args) -> int:
 
 @_exact
 def _cmd_count(args) -> int:
+    if args.type is not None and args.rank is None:
+        raise QfrmError("count --type needs --rank")
     _check_m_rank(args.m, args.rank)
     _check_output_size(args.q, triangle_size(args.m))
     table = census_formula(args.q, args.m, Decimal(1))
@@ -460,9 +462,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify" and not args.file:
-            if args.q is None or args.m is None:
-                raise QfrmError("classify --coeffs needs --q and --m")
+        if args.command == "classify" and args.file:
+            # refused before the file is read or --q is checked
+            given = [f"--{name}" for name in ("coeffs", "q", "m") if getattr(args, name) is not None]
+            if given:
+                raise QfrmError(f"classify --file takes no {' '.join(given)}: the file holds q, m and the coefficients")
+        elif args.command == "classify" and (args.q is None or args.m is None):
+            raise QfrmError("classify --coeffs needs --q and --m")
         if isinstance(getattr(args, "q", None), int):
             field_from_order(args.q)  # every integer q must be a prime power
         return args.func(args)

@@ -8,8 +8,8 @@ elements, point orderings) are well defined.
 
 The modulus is the monic irreducible polynomial of degree e over GF(p)
 whose digit encoding is smallest; candidates are scanned in encoding
-order and tested with a Rabin-style criterion, so two constructions of
-the same (p, e) agree element for element.
+order and tested by trial division, so two constructions of the same
+(p, e) agree element for element.
 
 The scalar ops ``add``, ``neg``, ``sub``, ``mul`` and ``inv`` take the
 first of three tiers that applies: integers mod p over a prime field, or
@@ -80,16 +80,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _poly_trim(out)
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return []
@@ -115,48 +105,6 @@ def _poly_mod(a, mod, p):
     return _poly_trim(a)
 
 
-def _poly_powmod(base, n, mod, p):
-    result = [1]
-    base = _poly_mod(list(base), mod, p)
-    while n:
-        if n & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        monic = [(c * inv) % p for c in b]
-        a, b = monic, _poly_mod(a, monic, p)
-    return a
-
-
-def _is_irreducible(poly, p):
-    """Rabin test: x^(p^e) = x mod f, and for every prime l | e the
-    polynomial x^(p^(e/l)) - x is coprime to f."""
-    e = len(poly) - 1
-    if e == 1:
-        return True
-    x = [0, 1]
-    t = x
-    for _ in range(e):
-        t = _poly_powmod(t, p, poly, p)
-    if t != x:
-        return False
-    for l in _prime_factors(e):
-        t = x
-        for _ in range(e // l):
-            t = _poly_powmod(t, p, poly, p)
-        if len(_poly_gcd(_poly_sub(t, x, p), poly, p)) > 1:
-            return False
-    return True
-
-
 class FiniteField:
     """GF(p^e); immutable, all operations are pure functions of int indices."""
 
@@ -177,9 +125,13 @@ class FiniteField:
 
     @staticmethod
     def _find_modulus(p, e):
+        # a monic poly of degree e is irreducible iff no monic poly of degree
+        # 1..e//2 divides it; that is at most 2 p^(e/2) <= 2^11 trial
+        # divisions per candidate, since p^e <= MAX_ORDER
         for v in range(p ** e):
             poly = _digits(v, p, e) + [1]
-            if _is_irreducible(poly, p):
+            if all(_poly_mod(poly, _digits(w, p, d) + [1], p)
+                   for d in range(1, e // 2 + 1) for w in range(p ** d)):
                 return tuple(poly)
         raise InternalInconsistency("no irreducible polynomial found")  # unreachable
 

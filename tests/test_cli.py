@@ -103,6 +103,22 @@ def test_classify_file_and_json(capsys, tmp_path):
     assert payload["rank"] == 3 and payload["type"] == "untyped"
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--q", "5", "--m", "7"), "--q --m"),
+    (("--coeffs", "c[1][1]=2"), "--coeffs"),
+    (("--q", "6"), "--q"),
+    (("--m", "2", "--coeffs", "c[1][1]=2"), "--coeffs --m"),
+])
+def test_classify_file_refuses_form_flags(capsys, tmp_path, flags, named):
+    # the refusal comes before the file is read: a missing file gives the same
+    path = tmp_path / "form.txt"
+    path.write_text("q=3 m=2; c[1][1]=1\n")
+    for target in (path, tmp_path / "missing.txt"):
+        code, out, err = run(capsys, "classify", "--file", str(target), *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: classify --file takes no {named}: the file holds q, m and the coefficients\n"
+
+
 def test_classify_parse_error(capsys):
     code, _, err = run(capsys, "classify", "--q", "2", "--m", "2", "--coeffs", "c[2][1]=1")
     assert code == 2 and "error" in err
@@ -408,6 +424,12 @@ def test_count_inconsistent(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "--q", "3", "--m", "4", "--rank", "2")
     assert code == 2
+
+
+def test_count_type_needs_rank(capsys):
+    for q, m, type_name in (("3", "2", "minus"), ("2", "2", "plus"), ("3", "-2", "plus")):
+        code, out, err = run(capsys, "count", "--q", q, "--m", m, "--type", type_name)
+        assert (code, out, err) == (2, "", "error: count --type needs --rank\n")
 
 
 def test_count_rejects_negative_m(capsys):

@@ -1,6 +1,8 @@
 """Field construction, arithmetic axioms, characters, and trace."""
 
 import functools
+import hashlib
+import math
 import os
 import random
 import subprocess
@@ -21,7 +23,7 @@ from qfrm.errors import (
     NonPrime,
     OddCharacteristic,
 )
-from qfrm.field import FiniteField, field_from_order, field_new
+from qfrm.field import MAX_ORDER, FiniteField, field_from_order, field_new
 from qfrm.forms import QuadraticForm, classify
 
 PRIME_POWERS_64 = [
@@ -46,6 +48,18 @@ def test_gf4_modulus_unique_irreducible_quadratic():
                 candidates.append((c0, c1, 1))
     assert candidates == [(1, 1, 1)]
     assert field_new(2, 2).modulus == (1, 1, 1)
+
+
+def test_every_extension_field_keeps_its_modulus():
+    # one sha256 over (p, e, modulus) for every p^e <= MAX_ORDER with e >= 2:
+    # a modulus that moves renames the field's elements in every output
+    primes = [p for p in range(2, math.isqrt(MAX_ORDER) + 1)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    fields = [(p, e) for p in primes for e in range(2, MAX_ORDER.bit_length()) if p ** e <= MAX_ORDER]
+    assert len(fields) == 242
+    rows = [(p, e, FiniteField._find_modulus(p, e)) for p, e in fields]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "18d74e0be467049cdb2a980dafab1f97f53b312e82195b4aa35d57de52a08a57"
 
 
 def test_modulus_is_deterministic():
