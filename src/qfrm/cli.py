@@ -44,9 +44,7 @@ from .codes import (
 from .errors import (
     EXACT_CONTEXT,
     InconsistentRankType,
-    InexactDivision,
     InternalInconsistency,
-    NonDivisibleWeight,
     OutOfRange,
     QfrmError,
     count_text,
@@ -119,11 +117,13 @@ def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
             f"over the cap of {MAX_FORM_COEFFS}"
         )
     entries = {}
-    seen_len = 0
-    for match in _COEFF_RE.finditer(body):
+    # one token at a time, so a long --file never becomes a list of strings
+    for token in re.finditer(r"\S+", body):
+        match = _COEFF_RE.fullmatch(token.group())
+        if match is None:
+            raise QfrmError("unparsed text in coefficient list")
         i, j = (_number(match.group(k), "a coefficient index", MAX_FORM_M) for k in (1, 2))
         value = _number(match.group(3), "a coefficient value", MAX_ORDER - 1)
-        seen_len += len(match.group(0))
         if not 1 <= i <= j <= m:
             raise QfrmError(f"coefficient index c[{i}][{j}] outside 1 <= i <= j <= {m}")
         if not 0 <= value < q:
@@ -131,8 +131,6 @@ def _parse_coeff_body(body: str, q: int, m: int) -> QuadraticForm:
         if (i - 1, j - 1) in entries:
             raise QfrmError(f"coefficient c[{i}][{j}] given twice")
         entries[(i - 1, j - 1)] = value
-    if seen_len != len(re.sub(r"\s+", "", body)):
-        raise QfrmError("unparsed text in coefficient list")
     return QuadraticForm.from_entries(field, m, entries)
 
 
@@ -248,17 +246,18 @@ def _cmd_count(args) -> int:
         key = (args.rank, wanted[0])
         items = [(key, table.entries[key])]
         if args.format == "text":
-            _emit(args, str(items[0][1]))
+            _emit(args, count_text(items[0][1]))
             return 0
+    rows = [(r, l, count_text(c)) for (r, l), c in items]
     if args.format == "json":
-        entries = [{"rank": r, "type": l, "count": str(c)} for (r, l), c in items]
+        entries = [{"rank": r, "type": l, "count": c} for r, l, c in rows]
         _emit(args, json.dumps({"q": table.q, "m": table.m, "entries": entries}))
     elif args.format == "csv":
-        lines = ["rank,type,count"] + [f"{r},{l},{c}" for (r, l), c in items]
+        lines = ["rank,type,count"] + [f"{r},{l},{c}" for r, l, c in rows]
         _emit(args, "\n".join(lines))
     else:
-        lines = [f"rank={r} type={l} count={c}" for (r, l), c in items]
-        lines.append(f"total={total}")
+        lines = [f"rank={r} type={l} count={c}" for r, l, c in rows]
+        lines.append(f"total={count_text(total)}")
         _emit(args, "\n".join(lines))
     return 0
 
@@ -472,7 +471,7 @@ def main(argv=None) -> int:
         if isinstance(getattr(args, "q", None), int):
             field_from_order(args.q)  # every integer q must be a prime power
         return args.func(args)
-    except (InternalInconsistency, InexactDivision, NonDivisibleWeight) as exc:
+    except InternalInconsistency as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except decimal.DecimalException as exc:

@@ -110,13 +110,13 @@ class WeightDistribution:
             "k": self.params.k,
             "d": self.params.d,
             "distribution": [
-                {"weight": w, "frequency": _frequency_text(f)} for w, f in self.sorted_items()
+                {"weight": w, "frequency": count_text(f)} for w, f in self.sorted_items()
             ],
         }
 
     def to_csv(self) -> str:
         lines = ["weight,frequency"]
-        lines += [f"{w},{_frequency_text(f)}" for w, f in self.sorted_items()]
+        lines += [f"{w},{count_text(f)}" for w, f in self.sorted_items()]
         return "\n".join(lines)
 
 
@@ -294,12 +294,6 @@ def coset_assembled_distribution(q: int, m: int) -> WeightDistribution:
 
 # -- rendering ---------------------------------------------------------------------------
 
-def _frequency_text(f) -> str:
-    # an int table prints through count_text, past CPython's digit cap; the
-    # exact Decimal frequencies of the CLI's tables print with str
-    return count_text(f) if isinstance(f, int) else str(f)
-
-
 def format_enumerator(entries: dict[int, int]) -> str:
     """Polynomial text ``1 + A*Z^w + ...``, ascending weights, unit
     coefficients printed bare."""
@@ -308,11 +302,11 @@ def format_enumerator(entries: dict[int, int]) -> str:
         if not f:
             continue
         if w == 0:
-            terms.append(_frequency_text(f))
+            terms.append(count_text(f))
         elif f == 1:
             terms.append(f"Z^{w}")
         else:
-            terms.append(f"{_frequency_text(f)}*Z^{w}")
+            terms.append(f"{count_text(f)}*Z^{w}")
     return " + ".join(terms) if terms else "0"
 
 

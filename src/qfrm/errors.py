@@ -17,11 +17,14 @@ EXACT_CONTEXT = decimal.Context(
 _DIRECT_BITS = 1 << 12
 
 
-def count_text(n: int) -> str:
-    """The decimal digits of an exact count, however long. ``str`` of an
-    int refuses past CPython's digit cap (``sys.set_int_max_str_digits``,
-    4,300 by default); a Decimal is built from the integer's binary
-    digits and printed without that check."""
+def count_text(n: int | Decimal) -> str:
+    """The decimal digits of an exact count, however long; every printed
+    count goes through it. ``str`` of an int refuses past CPython's digit
+    cap (``sys.set_int_max_str_digits``, 4,300 by default), so an int
+    becomes a Decimal built from its binary digits; a Decimal, as the
+    CLI's tables hold, prints with ``str``."""
+    if isinstance(n, Decimal):
+        return str(n)
     with decimal.localcontext(EXACT_CONTEXT):
         return str(_decimal(n, {}))
 
@@ -89,14 +92,6 @@ class InconsistentQuery(QfrmError, ValueError):
     """Coset query combines options that cannot occur together."""
 
 
-class InexactDivision(QfrmError, ArithmeticError):
-    """A closed-form count failed its exact-divisibility check."""
-
-
-class NonDivisibleWeight(QfrmError, ArithmeticError):
-    """A weight expected to be divisible by q - 1 is not."""
-
-
 class BudgetExceeded(QfrmError, RuntimeError):
     """Exhaustive enumeration would exceed its budget; raised by ``admit``."""
 
@@ -111,3 +106,11 @@ class UnsupportedForBinary(QfrmError, ValueError):
 
 class InternalInconsistency(QfrmError, RuntimeError):
     """Two computation paths that must agree disagreed."""
+
+
+class InexactDivision(InternalInconsistency, ArithmeticError):
+    """A closed-form count failed its exact-divisibility check."""
+
+
+class NonDivisibleWeight(InternalInconsistency, ArithmeticError):
+    """A weight expected to be divisible by q - 1 is not."""

@@ -371,41 +371,30 @@ def classify(form: QuadraticForm) -> RankType:
 
 
 def canonical_form(field: FiniteField, m: int, rank: int, type_tag) -> QuadraticForm:
-    """The canonical representative of the (rank, type) equivalence class.
-
-    Even q: hyperbolic pairs x_{2i-1} x_{2i}, plus a tail x_r^2 for odd
-    rank, or x_{r-1}^2 + x_{r-1} x_r + lambda x_r^2 (trace-one lambda) for
-    the minus type. Odd q: hyperbolic pairs plus x_r^2 or lambda x_r^2
-    (odd rank), or x_{r-1}^2 - x_r^2 / x_{r-1}^2 - lambda x_r^2 (even
-    rank), with lambda the smallest nonsquare.
+    """The canonical representative of the (rank, type) equivalence class:
+    hyperbolic pairs x_{2i-1} x_{2i}, then a tail on the variables left
+    below the rank. An even-q form of even rank and type plus is all pairs;
+    every other form of positive rank keeps a tail of one variable (odd
+    rank) or two. Even q: the tail is x_r^2, or x_{r-1}^2 + x_{r-1} x_r +
+    lambda x_r^2 with lambda of trace one (minus type). Odd q: x_r^2 or
+    lambda x_r^2 (odd rank), x_{r-1}^2 - x_r^2 or x_{r-1}^2 - lambda x_r^2
+    (even rank), with lambda the smallest nonsquare; the pairs' cross
+    coefficient is 1/2, so they read x_{2i-1} x_{2i} too.
     """
     validate_rank_type(field.q, m, rank, type_tag)
-    entries: dict[tuple[int, int], int] = {}
     even_q = field.p == 2
-    if rank:
-        if even_q:
-            pair_count = (rank - 1) // 2 if rank % 2 else rank // 2
-            if rank % 2 == 0 and type_tag == -1:
-                pair_count = rank // 2 - 1
-            for i in range(pair_count):
-                entries[(2 * i, 2 * i + 1)] = 1
-            if rank % 2 == 1:
-                entries[(rank - 1, rank - 1)] = 1
-            elif type_tag == -1:
-                lam = field.smallest_trace_one()
-                entries[(rank - 2, rank - 2)] = 1
-                entries[(rank - 2, rank - 1)] = 1
-                entries[(rank - 1, rank - 1)] = lam
-        else:
-            half = field.inv(2)  # cross coefficient producing the product x_i x_j
-            pair_count = (rank - 1) // 2 if rank % 2 else rank // 2 - 1
-            for i in range(pair_count):
-                entries[(2 * i, 2 * i + 1)] = half
-            lam = field.smallest_nonsquare()
-            if rank % 2 == 1:
-                entries[(rank - 1, rank - 1)] = 1 if type_tag == 1 else lam
-            else:
-                entries[(rank - 2, rank - 2)] = 1
-                tail = 1 if type_tag == 1 else lam
-                entries[(rank - 1, rank - 1)] = field.neg(tail)
+    pair_count = rank // 2 if even_q and type_tag == 1 else max(rank - 1, 0) // 2
+    # past q = 1,024 inv reads the log tables: built only when a pair needs 1/2
+    cross = 1 if even_q or not pair_count else field.inv(2)
+    entries = {(2 * i, 2 * i + 1): cross for i in range(pair_count)}
+    t = 2 * pair_count  # the tail's first variable
+    lam = 1
+    if type_tag == -1:
+        lam = field.smallest_trace_one() if even_q else field.smallest_nonsquare()
+    if rank - t == 1:
+        entries[(t, t)] = lam
+    elif rank - t == 2:
+        entries[(t, t)] = 1
+        entries[(t, t + 1)] = 1 if even_q else 0
+        entries[(t + 1, t + 1)] = lam if even_q else field.neg(lam)
     return QuadraticForm.from_entries(field, m, entries)

@@ -27,8 +27,14 @@ SWEEP = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in range(0, 9)]
 BENCHMARK_QS = (2, 3, 4, 5, 8, 9)
 
 
-# Reference counts: each rank's product built from scratch, independently of
-# the ratio recurrence that census_formula runs over the ranks.
+# Reference counts: each rank's product built from its factors, independently
+# of the ratio recurrence that census_formula runs over the ranks.
+def exact_quotient(num, den):
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0
+    return quotient
+
+
 def reference_odd_rank(q, m, r):
     j = (r - 1) // 2
     num = q ** (j * j + j)
@@ -37,8 +43,7 @@ def reference_odd_rank(q, m, r):
     den = 1
     for i in range(1, j + 1):
         den *= q ** (2 * i) - 1
-    assert num % den == 0
-    return num // den
+    return exact_quotient(num, den)
 
 
 def reference_even_rank(q, m, r, tau):
@@ -49,18 +54,29 @@ def reference_even_rank(q, m, r, tau):
     den = 2
     for i in range(1, j + 1):
         den *= q ** (2 * i) - 1
-    assert num % den == 0
-    return num // den
+    return exact_quotient(num, den)
 
 
 def reference_census(q, m):
+    # the same products, read from tables every rank of (q, m) shares:
+    # tail[a] = (q^a - 1) ... (q^m - 1) and squares[j] = prod (q^(2i) - 1), i <= j
+    tail = [1] * (m + 2)
+    for i in range(m, 0, -1):
+        tail[i] = tail[i + 1] * (q ** i - 1)
+    squares = [1]
+    for i in range(1, m // 2 + 1):
+        squares.append(squares[-1] * (q ** (2 * i) - 1))
+
     entries = {(0, "plus"): 1}
     for r in range(1, m + 1):
+        j = r // 2
         if r % 2:
-            entries[(r, "untyped" if q % 2 == 0 else "odd_total")] = reference_odd_rank(q, m, r)
+            label = "untyped" if q % 2 == 0 else "odd_total"
+            entries[(r, label)] = exact_quotient(q ** (j * j + j) * tail[m - 2 * j], squares[j])
         else:
-            entries[(r, "plus")] = reference_even_rank(q, m, r, 1)
-            entries[(r, "minus")] = reference_even_rank(q, m, r, -1)
+            for label, tau in (("plus", 1), ("minus", -1)):
+                num = q ** (j * j) * (q ** j + tau) * tail[m - 2 * j + 1]
+                entries[(r, label)] = exact_quotient(num, 2 * squares[j])
     return entries
 
 

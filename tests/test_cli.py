@@ -214,6 +214,13 @@ def test_classify_file_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert run(capsys, "classify", "--file", str(path)) == (2, "", "error: unparsed text in coefficient list\n")
 
 
+def test_classify_refuses_unspaced_coefficients(capsys):
+    # the grammar puts whitespace between coefficients: two run together
+    # make one token that is no coefficient
+    code = run(capsys, "classify", "--q", "4", "--m", "2", "--coeffs", "c[1][2]=1c[2][2]=1")
+    assert code == (2, "", "error: unparsed text in coefficient list\n")
+
+
 def test_classify_sparse_form_near_the_coefficient_cap_answers(capsys):
     code, out, _ = run(capsys, "classify", "--q", "2", "--m", "1000", "--coeffs", "c[1][2]=1")
     assert code == 0

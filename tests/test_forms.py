@@ -1,6 +1,7 @@
 """Quadratic form representation, classification, canonical forms, and
 zero counts, each checked against direct enumeration."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -19,7 +20,7 @@ from qfrm.errors import (
     InconsistentRankType,
     InternalInconsistency,
 )
-from qfrm.field import field_new
+from qfrm.field import field_from_order, field_new
 from qfrm.forms import (
     POINT_BUDGET,
     QuadraticForm,
@@ -386,6 +387,20 @@ def test_canonical_form_examples():
     Q = canonical_form(F3, 2, 2, -1)
     assert Q.coeffs == (1, 0, 1)  # x1^2 - 2 x2^2 = x1^2 + x2^2 over GF(3)
     assert not any(canonical_form(F5, 3, 0, 1).coeffs)
+
+
+def test_every_canonical_form_is_pinned():
+    # one sha256 over the coefficients of every admissible class with m <= 8:
+    # classify prints the canonical form and verify's spectra check transforms
+    # it, so a coefficient that moves changes their output
+    qs = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 81, 125, 243, 1024, 2048, 2187)
+    rows = [
+        (q, m, r, tag, canonical_form(field_from_order(q), m, r, tag).coeffs)
+        for q in qs for m in range(9) for r in range(m + 1) for tag in admissible_tags(q, r)
+    ]
+    assert len(rows) == 1318
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "1c3f79febe81a3f4ccf5ae7aafb37faaaab7263071c8d69ff6b97f21d928c963"
 
 
 def test_canonical_form_validation():
