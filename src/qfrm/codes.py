@@ -8,12 +8,13 @@ the class leads, read from ``spectra.merged_rows`` for rm2 (the coset of
 the first-order code the form leads) and from ``forms.zero_count_formula``
 for hrm2 and prm2. Every family also has a brute-force codeword
 enumerator, the independent oracle, which lists only the quadratic parts
-of the codewords and reads every weight from their affine-shift counts
-(``forms.affine_shift_counts``). Frequencies are exact: ints from the
-library, and exact ``Decimal`` values when a builder is given the unit
-``Decimal(1)``, as ``qfrm dist`` does under a trapping exact context so
-that its tables print in linear time. Either way one code path builds
-and checks them.
+of the codewords; rm2 and prm2 read their weights from the affine-shift
+counts (``forms.affine_shift_counts``) of one shared enumeration, since
+the chart x_m = 1 of a prm2 word is an rm2 word. Frequencies are exact:
+ints from the library, and exact ``Decimal`` values when a builder is
+given the unit ``Decimal(1)``, as ``qfrm dist`` does under a trapping
+exact context so that its tables print in linear time. Either way one
+code path builds and checks them.
 
 Every table is checked as it is built: the frequencies must total q^k,
 which sees every census count of rank >= 1, and must satisfy the first
@@ -23,6 +24,7 @@ of shipping a wrong table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +236,33 @@ def distribution(family: str, q: int, m: int, unit=1) -> WeightDistribution:
 
 # -- brute-force codeword enumeration --------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _codeword_tallies(q: int, m: int, squares: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rm2, prm2) weight tallies over every quadratic part Q on m
+    variables (x_i x_j, i < j, plus the squares when ``squares``), from one
+    pass: each block is tallied once by the key (hyperplane weight, chart
+    weight), rm2 reading the chart marginal and prm2 the sum of the two.
+    Only the tallies are kept, never H."""
+    field = field_from_order(q)
+    n = q ** m
+    span = (n - 1) // (q - 1) + 1  # hyperplane weights run from 0 to (q^m - 1)/(q - 1)
+    pairs = [(i, j) for i, j in triangle_pairs(m) if squares or i != j]
+    joint = np.zeros(span * (n + 1), dtype=np.int64)
+    for low, high in _form_blocks(field, _monomial_planes(field, m, pairs), q * q * n):
+        counts = affine_shift_counts(field, m, field.add_array[low, high].T)
+        hyperplane, remainder = np.divmod(np.subtract(n, counts[:, :1, :1], dtype=np.int64), q - 1)
+        if remainder.any():
+            raise NonDivisibleWeight(f"hyperplane weight not divisible by {q - 1}")
+        keys = np.subtract(hyperplane * (n + 1) + n, counts, dtype=np.int64)
+        joint += np.bincount(keys.ravel(order="K"), minlength=joint.size)
+    joint = joint.reshape(span, n + 1)
+    chart = joint.sum(axis=0)
+    projective = np.zeros(n + span, dtype=np.int64)
+    np.add.at(projective, np.add.outer(np.arange(span), np.arange(n + 1)), joint)
+    chart.flags.writeable = projective.flags.writeable = False
+    return chart, projective
+
+
 def brute_force_distribution(
     family: str, q: int, m: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> WeightDistribution:
@@ -241,20 +270,26 @@ def brute_force_distribution(
 
     Only the quadratic parts Q are enumerated, as combinations of the
     monomials x_i x_j on m variables (i < j for binary rm2, whose squares
-    are linear; i <= j otherwise), in blocks of forms. Every weight is
-    then read from the exact affine-shift counts
-    H[L, s] = #{x : Q(x) + L.x = s} of ``affine_shift_counts``:
+    are linear; i <= j otherwise), in blocks of forms:
 
-    - rm2, codeword Q + L + c: weight q^m - H[L, -c];
-    - hrm2, codeword Q: weight q^m - H[0, 0], the zero count of Q;
-    - prm2, codeword Q + x_m L + c x_m^2 on P^m: the chart x_m = 1 gives
-      q^m - H[L, -c] and the hyperplane x_m = 0 gives
-      (q^m - H[0, 0]) / (q - 1), a division checked for exactness.
+    - hrm2, codeword Q: weight q^m minus the zero count of Q, found by
+      comparing Q on the q^m points;
+    - rm2, codeword Q + L + c: weight q^m - H[L, -c], from the exact
+      affine-shift counts H[L, s] = #{x : Q(x) + L.x = s} of
+      ``affine_shift_counts``;
+    - prm2, codeword Q + x_m L + c x_m^2 on P^m: the chart x_m = 1 is that
+      rm2 word, and the hyperplane x_m = 0 adds (q^m - H[0, 0]) / (q - 1),
+      a division checked for exactness.
 
-    The budget is charged, before the field or any plane is built, the
-    steps the kernel takes over the q^T quadratic parts (T = m(m-1)/2 for
-    binary rm2, m(m+1)/2 otherwise): ``affine_shift_steps(q, m)`` per
-    form, or the q^m points compared for hrm2.
+    So rm2 and prm2 share one enumeration of the same parts: the last
+    (q, m) read keeps both tallies (``_codeword_tallies``), and the other
+    family's call reads them. Binary rm2 enumerates its own parts.
+
+    The budget is charged, before the field or any plane is built and
+    before any kept tally is read, the steps the family's kernel takes
+    over the q^T quadratic parts (T = m(m-1)/2 for binary rm2, m(m+1)/2
+    otherwise): ``affine_shift_steps(q, m)`` per form, or the q^m points
+    compared for hrm2.
     """
     params = code_parameters(family, q, m)
     binary_rm2 = family == "rm2" and q == 2
@@ -262,26 +297,17 @@ def brute_force_distribution(
     parts = q ** (m * (m - 1) // 2 if binary_rm2 else triangle_size(m))
     per_part = n if family == "hrm2" else affine_shift_steps(q, m)
     admit(parts * per_part, max_steps, "transform steps")
-    field = field_from_order(q)
-    pairs = [(i, j) for i, j in triangle_pairs(m) if i != j or not binary_rm2]
-    neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
-    tally = np.zeros(params.n + 1, dtype=np.int64)
-    per_form = n if family == "hrm2" else q * q * n
-    for low, high in _form_blocks(field, _monomial_planes(field, m, pairs), per_form):
-        if family == "hrm2":
-            # H[0, 0] is the zero count: the points where low = -high
+    if family == "hrm2":
+        field = field_from_order(q)
+        neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
+        tally = np.zeros(n + 1, dtype=np.int64)
+        for low, high in _form_blocks(field, _monomial_planes(field, m, triangle_pairs(m)), n):
+            # the zero count: the points where low = -high
             weights = n - (low == neg[high]).sum(axis=0, dtype=np.min_scalar_type(n))
-        else:
-            counts = affine_shift_counts(field, m, field.add_array[low, high].T)
-            weights = np.subtract(n, counts, dtype=np.int64)
-        if family == "prm2":
-            hyperplane, remainder = np.divmod(weights[:, :1, :1], q - 1)
-            if remainder.any():
-                raise NonDivisibleWeight(f"hyperplane weight not divisible by {q - 1}")
-            weights += hyperplane
-        tally += np.bincount(weights.ravel(order="K"), minlength=params.n + 1)
-    entries = {w: int(f) for w, f in enumerate(tally) if f}
-    return WeightDistribution(family, q, m, params, entries)
+            tally += np.bincount(weights, minlength=n + 1)
+    else:
+        tally = _codeword_tallies(q, m, not binary_rm2)[family == "prm2"]
+    return WeightDistribution(family, q, m, params, {w: int(f) for w, f in enumerate(tally) if f})
 
 
 def coset_assembled_distribution(q: int, m: int) -> WeightDistribution:

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import qfrm
+from qfrm import codes
 from qfrm.census import census_exhaustive
+from qfrm.codes import brute_force_distribution
 from qfrm.errors import BudgetExceeded, count_text
 from qfrm.field import field_from_order
 from qfrm.forms import QuadraticForm, affine_shift_steps, zero_count_exhaustive
@@ -72,6 +74,19 @@ def test_codes_budget_past_the_cap():
     assert [r.status for r in brute] == ["SKIP"] * 3
     assert all(r.detail.endswith(" transform steps exceed 2147483648") for r in brute)
     assert not any(r.status == "FAIL" for r in results)
+
+
+@pytest.mark.parametrize("first,second", [("rm2", "prm2"), ("prm2", "rm2")])
+def test_admission_comes_before_the_shared_tallies(first, second):
+    # over q > 2 rm2 and prm2 read one kept enumeration; a family over its
+    # own budget is refused even when the other family has filled it.
+    # (3, 2): 3^3 parts of affine_shift_steps(3, 2) = 108 steps each
+    codes._codeword_tallies.cache_clear()
+    brute_force_distribution(first, 3, 2)
+    with pytest.raises(BudgetExceeded, match=r"^2916 transform steps exceed 2915$"):
+        brute_force_distribution(second, 3, 2, max_steps=2915)
+    brute_force_distribution(second, 3, 2, max_steps=2916)
+    assert codes._codeword_tallies.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_spectra_budget_past_the_cap():

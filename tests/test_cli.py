@@ -682,6 +682,19 @@ def test_verify_all_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of `qfrm verify --scope codes --q 2-5,7 --m 1-2` stdout, recorded
+# before rm2 and prm2 shared one enumeration; it reaches the m = 1 and q = 7
+# pairs, which the --scope all grid does not
+VERIFY_CODES_SHA256 = "fca82b48c29bd71fc2c34155c65e49fc43abf6fb2852064851c06f7e3845739e"
+
+
+def test_verify_codes_m1_and_q7_are_byte_identical(capsys):
+    code, out, _ = run(capsys, "verify", "--scope", "codes", "--q", "2-5,7", "--m", "1-2")
+    assert code == 0
+    assert out.endswith("passed=47 failed=0 skipped=1\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CODES_SHA256
+
+
 @pytest.mark.parametrize("q,m", [(2, 6), (4, 4), (3, 5)])
 def test_verify_census_budget_counts_evaluations(capsys, q, m):
     # q^(m(m+1)/2) forms times q^m points each exceed the default 2^26

@@ -23,7 +23,7 @@ from qfrm.codes import (
 from qfrm import codes
 from qfrm.errors import BudgetExceeded, InternalInconsistency, UnsupportedParameters
 from qfrm.forms import TYPE_LABELS, admissible_tags, affine_shift_steps, zero_count_formula
-from qfrm.verify import run_verification
+from qfrm.verify import CODES_GRID, check_codes, run_verification
 
 GOLD_RM_2_7 = (
     "1 + 10668*Z^32 + 5291328*Z^48 + 112881664*Z^56 + 300503590*Z^64 + "
@@ -126,6 +126,54 @@ def test_prm_3_1_parameters_and_oracle():
     assert (wd.params.n, wd.params.k, wd.params.d) == (4, 3, 2)
     assert wd.entries == {0: 1, 2: 12, 3: 8, 4: 6}
     assert wd.entries == brute_force_distribution("prm2", 3, 1).entries
+
+
+# the codes acceptance grid, plus the m = 1 corners and the smallest binary pairs
+ORDER_GRID = CODES_GRID + ((3, 1), (4, 1), (7, 1), (2, 2), (2, 3))
+
+
+@pytest.mark.parametrize("q,m", ORDER_GRID)
+@pytest.mark.parametrize("order", ["prm2 first", "prm2 second", "prm2 after eviction"])
+def test_brute_tables_ignore_call_order(q, m, order):
+    # over q > 2 rm2 and prm2 read one kept enumeration; whichever family
+    # runs first, and whether the tallies were evicted between the two, each
+    # table equals its closed form
+    want = {family: distribution(family, q, m).entries for family in ("rm2", "prm2")}
+    codes._codeword_tallies.cache_clear()
+    if order == "prm2 first":
+        got = {family: brute_force_distribution(family, q, m).entries for family in ("prm2", "rm2")}
+    elif order == "prm2 second":
+        got = {family: brute_force_distribution(family, q, m).entries for family in ("rm2", "prm2")}
+    else:
+        got = {"rm2": brute_force_distribution("rm2", q, m).entries}
+        other = (5, 1) if (q, m) == (3, 1) else (3, 1)
+        brute_force_distribution("rm2", *other)
+        misses = codes._codeword_tallies.cache_info().misses
+        got["prm2"] = brute_force_distribution("prm2", q, m).entries
+        assert codes._codeword_tallies.cache_info().misses == misses + 1
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "q,m,parts",
+    [
+        (3, 3, 3 ** 6),  # rm2 and prm2 share the 3^6 parts
+        (2, 4, 2 ** 6 + 2 ** 10),  # binary rm2 enumerates its own i < j parts
+    ],
+)
+def test_check_codes_enumerates_once(monkeypatch, q, m, parts):
+    transformed = []
+    real = codes.affine_shift_counts
+
+    def counting(field, m, values):
+        transformed.append(len(values))
+        return real(field, m, values)
+
+    monkeypatch.setattr(codes, "affine_shift_counts", counting)
+    codes._codeword_tallies.cache_clear()
+    results = check_codes(q, m)
+    assert all(r.status == "PASS" for r in results), [r.name for r in results if r.status != "PASS"]
+    assert sum(transformed) == parts
 
 
 # Reference tables: each family's rows derived by hand from the census, one
