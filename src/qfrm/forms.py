@@ -31,7 +31,7 @@ from .field import FiniteField
 POINT_BUDGET = 1 << 24
 
 # entries of the largest array one block of forms may build in the
-# enumeration oracles (census, codewords); bounds their memory
+# enumeration oracles (census, codewords, coset spectra); bounds their memory
 _BLOCK = 1 << 18
 
 
@@ -184,6 +184,18 @@ def _monomial_planes(field: FiniteField, m: int, pairs) -> list[np.ndarray]:
     return [np.broadcast_to(_term(field, m, i, j), shape).ravel() for i, j in pairs]
 
 
+def _block_rows(per_form: int) -> int:
+    """Forms one block holds: as many as keep ``per_form`` entries each
+    within ``_BLOCK``, at least one."""
+    return max(1, _BLOCK // per_form)
+
+
+def _form_chunks(forms, per_form):
+    """The listed ``forms`` in consecutive chunks of ``_block_rows(per_form)``."""
+    rows = _block_rows(per_form)
+    return [forms[i:i + rows] for i in range(0, len(forms), rows)]
+
+
 def _form_blocks(field, planes, per_form):
     """Every linear combination of ``planes`` over the field, in blocks of
     as many combinations as keep ``per_form`` entries each within
@@ -198,7 +210,7 @@ def _form_blocks(field, planes, per_form):
     the cross term 2 c_ij x_i x_j runs over the same span, as 2 is a unit.
     """
     add, mul = field.add_array, field.mul_array
-    rows = max(1, _BLOCK // per_form)
+    rows = _block_rows(per_form)
     low = np.zeros((len(planes[0]) if planes else 1, 1), dtype=field.dtype)
     split = len(planes)
     while split and low.shape[1] * field.q <= rows:

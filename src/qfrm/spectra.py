@@ -7,13 +7,16 @@ The closed forms depend only on (q, m, rank, type, class), all behind
 Three row sets are hand-derived: ``merged_rows`` over every constant (the
 rows the rm2 table reads), the zero class, and the square class at odd
 rank over odd q. The last class, ``nonzero`` or ``nonsquare``, is the
-merged rows minus the others. The brute-force oracle ``spectrum_oracle``
-counts instead: one call of ``forms.affine_shift_counts`` per form gives
-the zero count of Q + L + c for every linear functional L and constant c
-at once, exactly, for q <= 1024. The last form's table is kept, so the
-calls for each class of one form and ``merged_oracle`` read one
-transform. A class multiset covers the whole class: the single constant
-0 for ``zero``, the (q-1)/2 square or nonsquare constants, or all q-1
+merged rows minus the others. The brute-force oracle counts instead:
+``shift_tallies`` stacks the forms of one (q, m) and calls
+``forms.affine_shift_counts`` once per chunk of them, which gives the zero
+count of Q + L + c for every linear functional L and constant c at once,
+exactly, for q <= 1024; it keeps, per form and constant, only the sparse
+tally of those zero counts. The last batch's tallies are kept, so
+``spectrum_oracle`` and ``merged_oracle`` read every class of a form in
+that batch without a transform, and transform any other form as a batch
+of one. A class multiset covers the whole class: the single constant 0
+for ``zero``, the (q-1)/2 square or nonsquare constants, or all q-1
 nonzero constants for ``nonzero``, so oracle and formula agree
 entrywise. The oracle's budget counts ``forms.affine_shift_steps(q, m)``,
 the transform steps per form.
@@ -21,19 +24,21 @@ the transform steps per form.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InconsistentQuery, InternalInconsistency, UnsupportedForBinary, admit, count_text
+from .errors import (
+    DimensionMismatch, InconsistentQuery, InternalInconsistency, UnsupportedForBinary, admit, count_text
+)
 from .census import _exact_div
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
 from .field import field_from_order  # noqa: F401
 from .forms import (
-    QuadraticForm, affine_shift_counts, affine_shift_steps, validate_rank_type, values_on_domain
+    QuadraticForm, _form_chunks, affine_shift_counts, affine_shift_steps, validate_rank_type, values_on_domain
 )
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
@@ -237,13 +242,58 @@ def class_constants(field, c_class: str) -> list[int]:
     return list(spans[c_class])
 
 
-@functools.lru_cache(maxsize=1)
-def _shift_counts(form: QuadraticForm) -> np.ndarray:
-    """H[L, s] of ``affine_shift_counts`` for one form, read-only: every
-    constant class of the form is read from the same table."""
-    counts = affine_shift_counts(form.field, form.m, values_on_domain(form)[None])[0]
-    counts.flags.writeable = False
-    return counts
+# the tallies of the last ``shift_tallies`` call, by form
+_kept: dict = {}
+
+
+def shift_tallies(forms: list[QuadraticForm]) -> tuple[tuple[MappingProxyType, ...], ...]:
+    """For each of ``forms``, all of one field and m, the read-only tallies
+    {v: #{L : N(Q + L + c) = v}} over every linear functional L, one per
+    constant c in index order.
+
+    N(Q + L + c) is H[L, -c] of ``affine_shift_counts``, an exact count
+    over the points; no closed forms involved. The forms are transformed
+    in chunks (``_form_chunks``), one kernel call each, of as many forms
+    as keep the kernel's largest array, q^(m+2) counts a form, within
+    ``forms._BLOCK``; only the sparse tallies are kept, never H. The
+    caller admits the work: ``affine_shift_steps(q, m)`` per form.
+    """
+    fld, m = forms[0].field, forms[0].m
+    if any(Q.field != fld or Q.m != m for Q in forms):
+        raise DimensionMismatch("a batch of forms shares one field and m")
+    out = [t for chunk in _form_chunks(forms, fld.q ** (m + 2)) for t in _chunk_tallies(chunk)]
+    _kept.clear()
+    _kept.update(zip(forms, out))
+    return tuple(out)
+
+
+def _chunk_tallies(chunk) -> list[tuple[MappingProxyType, ...]]:
+    """``shift_tallies`` of one chunk, from one kernel call; its arrays are
+    freed before the next chunk's call."""
+    fld, m = chunk[0].field, chunk[0].m
+    q, n = fld.q, fld.q ** m
+    neg = [fld.neg(c) for c in range(q)]
+    counts = affine_shift_counts(fld, m, np.stack([values_on_domain(Q) for Q in chunk]))
+    # H[f, L, s] = v as the key (f q + s)(n + 1) + v
+    width = len(chunk) * q
+    keys = np.add(counts, np.arange(0, width * (n + 1), n + 1).reshape(-1, 1, q), dtype=np.int64)
+    tally = np.bincount(keys.ravel(order="K"), minlength=width * (n + 1))
+    rows = [{} for _ in range(width)]
+    found = np.flatnonzero(tally)
+    for key, k in zip(found.tolist(), tally[found].tolist()):
+        row, v = divmod(key, n + 1)
+        rows[row][v] = k
+    return [tuple(MappingProxyType(rows[f * q + s]) for s in neg) for f in range(len(chunk))]
+
+
+def class_tally(form: QuadraticForm, tallies, c_class: str) -> SpectrumMultiset:
+    """The form's ``shift_tallies`` summed over the constants of the class."""
+    cs = class_constants(form.field, c_class)
+    total: dict[int, int] = {}
+    for c in cs:
+        for v, k in tallies[c].items():
+            total[v] = total.get(v, 0) + k
+    return SpectrumMultiset(total, form.field.q ** form.m * len(cs))
 
 
 def spectrum_oracle(
@@ -252,19 +302,13 @@ def spectrum_oracle(
     """Tally N(Q + L + c) over every linear functional L and every c in the class.
 
     Accepts the formula classes plus ``"all"`` for the merged tally over
-    every constant. N(Q + L + c) is H[L, -c] of ``affine_shift_counts``,
-    an exact count over the points; no closed forms involved. Each call
-    is charged one transform before the form is evaluated.
+    every constant. Each call is charged one transform before any tally
+    is read. A form of the last ``shift_tallies`` batch reads that
+    batch's kept tallies; any other form is transformed as a batch of one.
     """
     fld = form.field
     admit(affine_shift_steps(fld.q, form.m), max_evals, "transform steps per form")
-    n = fld.q ** form.m
-    cs = class_constants(fld, c_class)
-    counts = _shift_counts(form)[:, [fld.neg(c) for c in cs]]
-    tally = np.bincount(counts.ravel(), minlength=n + 1)
-    return SpectrumMultiset(
-        {int(v): int(tally[v]) for v in np.flatnonzero(tally)}, n * len(cs)
-    )
+    return class_tally(form, _kept.get(form) or shift_tallies([form])[0], c_class)
 
 
 def merged_oracle(form: QuadraticForm, max_evals: int = DEFAULT_ORACLE_BUDGET) -> SpectrumMultiset:

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import qfrm
-from qfrm import codes
+from qfrm import codes, spectra
 from qfrm.census import census_exhaustive
 from qfrm.codes import brute_force_distribution
 from qfrm.errors import BudgetExceeded, count_text
 from qfrm.field import field_from_order
-from qfrm.forms import QuadraticForm, affine_shift_steps, zero_count_exhaustive
+from qfrm.forms import QuadraticForm, affine_shift_steps, canonical_form, zero_count_exhaustive
+from qfrm.spectra import merged_oracle, spectrum_oracle
 from qfrm.verify import check_spectra, run_verification
 
 DEFAULT_CAP = 4300
@@ -87,6 +88,19 @@ def test_admission_comes_before_the_shared_tallies(first, second):
         brute_force_distribution(second, 3, 2, max_steps=2915)
     brute_force_distribution(second, 3, 2, max_steps=2916)
     assert codes._codeword_tallies.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_admission_comes_before_the_kept_batch():
+    # check_spectra keeps the tallies of every form of (3, 2); a form of that
+    # batch is still charged its 108 transform steps before they are read
+    check_spectra(3, 2)
+    form = canonical_form(field_from_order(3), 2, 2, 1)
+    assert form in spectra._kept
+    refusal = r"^108 transform steps per form exceed 107$"
+    with pytest.raises(BudgetExceeded, match=refusal):
+        spectrum_oracle(form, "zero", max_evals=107)
+    with pytest.raises(BudgetExceeded, match=refusal):
+        merged_oracle(form, max_evals=107)
 
 
 def test_spectra_budget_past_the_cap():

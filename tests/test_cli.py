@@ -695,6 +695,19 @@ def test_verify_codes_m1_and_q7_are_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CODES_SHA256
 
 
+# sha256 of `qfrm verify --scope spectra --q 2-5,7-9 --m 0-3` stdout, recorded
+# before each pair's forms were transformed in one batch; it reaches m = 0
+# and q = 7, 8, 9, which the --scope all grid does not
+VERIFY_SPECTRA_SHA256 = "989f1c8518d9ba6361e664880b39f64c97fac7072c0f0bb5c3c7960112d93d47"
+
+
+def test_verify_spectra_m0_and_q7_to_9_are_byte_identical(capsys):
+    code, out, _ = run(capsys, "verify", "--scope", "spectra", "--q", "2-5,7-9", "--m", "0-3")
+    assert code == 0
+    assert out.endswith("passed=332 failed=0 skipped=0\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SPECTRA_SHA256
+
+
 @pytest.mark.parametrize("q,m", [(2, 6), (4, 4), (3, 5)])
 def test_verify_census_budget_counts_evaluations(capsys, q, m):
     # q^(m(m+1)/2) forms times q^m points each exceed the default 2^26

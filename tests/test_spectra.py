@@ -7,7 +7,7 @@ import pytest
 from algebra import evaluate, mat_mul, points, random_invertible, substitute
 
 from qfrm import spectra
-from qfrm.errors import BudgetExceeded, InconsistentQuery, UnsupportedForBinary
+from qfrm.errors import BudgetExceeded, DimensionMismatch, InconsistentQuery, UnsupportedForBinary
 from qfrm.field import field_new
 from qfrm.forms import (
     QuadraticForm,
@@ -16,7 +16,7 @@ from qfrm.forms import (
     canonical_form,
     triangle_size,
 )
-from qfrm.verify import run_verification
+from qfrm.verify import SPECTRA_GRID, check_spectra, run_verification
 from qfrm.spectra import (
     CosetQuery,
     class_constants,
@@ -282,8 +282,8 @@ def _direct_spectrum(hist, fld, c_class):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_shared_transform_matches_direct_count(q, m):
-    # every class of a form reads one cached transform; the calls on two forms
-    # are shuffled together, so a table kept for the wrong form would show
+    # every class of a form reads its one kept transform; the calls on two forms
+    # are shuffled together, so tallies kept for the wrong form would show
     fld = FIELDS[q]
     rng = random.Random(1000 * q + m)
     forms = [canonical_form(fld, m, r, t) for r in range(m + 1) for t in admissible_tags(q, r)]
@@ -314,13 +314,24 @@ def test_shift_counts_keyed_by_field(m):
 
 
 def test_shift_counts_are_read_only():
-    counts = spectra._shift_counts(canonical_form(FIELDS[3], 2, 2, 1))
-    assert not counts.flags.writeable
-    with pytest.raises(ValueError):
-        counts[0, 0] = 0
+    # no object the oracles return reaches into the kept tallies
+    Q = canonical_form(FIELDS[3], 2, 2, 1)
+    tallies = spectra.shift_tallies([Q])
+    before = [dict(t) for t in tallies[0]]
+    with pytest.raises(TypeError):
+        tallies[0][0][3] = 0
+    with pytest.raises(TypeError):
+        tallies[0][0] = {}
+    with pytest.raises(TypeError):
+        tallies[0] = ()
+    spectrum_oracle(Q, "zero").entries.clear()
+    merged_oracle(Q).entries[3] = 0
+    spectra.class_tally(Q, tallies[0], "all").entries.clear()
+    assert [dict(t) for t in spectra._kept[Q]] == before
+    assert spectrum_oracle(Q, "zero").entries == _direct_spectrum(_direct_zero_counts(Q), FIELDS[3], "zero")
 
 
-def test_one_transform_per_form_on_the_default_grid(monkeypatch):
+def test_one_transform_per_pair_on_the_default_grid(monkeypatch):
     calls = []
 
     def counting(field, m, values):
@@ -329,8 +340,57 @@ def test_one_transform_per_form_on_the_default_grid(monkeypatch):
 
     kernel = spectra.affine_shift_counts
     monkeypatch.setattr(spectra, "affine_shift_counts", counting)
-    spectra._shift_counts.cache_clear()
+    spectra._kept.clear()
     results = run_verification("spectra")
     assert results and all(r.passed and not r.skipped for r in results)
-    assert len(calls) == 52
-    assert all(n == 1 for _, _, n in calls)
+    assert len(calls) == 12
+    assert sum(n for _, _, n in calls) == 52
+    # each call carries every form of its pair
+    assert calls == [
+        (q, m, sum(len(admissible_tags(q, r)) for r in range(m + 1))) for q, m in SPECTRA_GRID
+    ]
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (4, 2), (5, 2), (9, 1), (2, 3), (2, 0), (5, 0)])
+def test_batched_oracle_equals_the_one_form_oracle(q, m):
+    # a batch mixes canonical forms with random substitutions of them; each
+    # form's classes from the batch equal those of the form transformed alone
+    fld = FIELDS[q]
+    rng = random.Random(100 * q + m)
+    forms = [canonical_form(fld, m, r, t) for r in range(m + 1) for t in admissible_tags(q, r)]
+    if m:
+        forms += [substitute(Q, random_invertible(rng, fld, m)) for Q in forms]
+        rng.shuffle(forms)
+    batch = spectra.shift_tallies(forms)
+    assert len(batch) == len(forms)
+    for Q, tallies in zip(forms, batch):
+        batched = {c: spectra.class_tally(Q, tallies, c).entries for c in _oracle_classes(q)}
+        spectra._kept.clear()
+        alone = {c: spectrum_oracle(Q, c).entries for c in _oracle_classes(q)}
+        assert batched == alone, Q
+        assert merged_oracle(Q).entries == batched["all"]
+        assert sum(v * k for v, k in batched["all"].items()) == q ** (2 * m)
+
+
+def test_batch_refuses_forms_of_two_fields():
+    # GF(2)^2 and GF(4)^1 both have 4 points, so their values would stack
+    with pytest.raises(DimensionMismatch, match="one field and m"):
+        spectra.shift_tallies([QuadraticForm.zero(FIELDS[2], 2), QuadraticForm.zero(FIELDS[4], 1)])
+
+
+def test_batched_oracle_chunks_by_block(monkeypatch):
+    # a form takes q^(m+2) counts in the kernel and a call at most 2^18:
+    # 3^9 a form over (3, 7) puts 13 forms in a call, 2^11 over (2, 9) all 14
+    calls = []
+
+    def counting(field, m, values):
+        calls.append(len(values))
+        return kernel(field, m, values)
+
+    kernel = spectra.affine_shift_counts
+    monkeypatch.setattr(spectra, "affine_shift_counts", counting)
+    for q, m, sizes in [(3, 7, [13, 2]), (2, 9, [14])]:
+        calls.clear()
+        results = check_spectra(q, m)
+        assert results and all(r.passed and not r.skipped for r in results)
+        assert calls == sizes, (q, m)
