@@ -7,11 +7,11 @@ linear time), the whole table in one pass per (q, m): each rank's product
 follows from the previous one by a ratio, so no caller rebuilds a rank's
 product from scratch (``count_even_rank`` and ``count_odd_rank`` read one
 entry of that table). ``census_exhaustive`` is the oracle for the
-formulas: it enumerates every form as its values on the q^m points, in
-numpy blocks, and reads rank and type from point counts alone (the
-bilinear radical and the zero count), sharing no code with ``classify``.
-Odd ranks over odd q are stored under a merged ``odd_total`` key, since
-the coset and weight structure does not depend on their type.
+formulas: it reads every form's values on the q^m points from
+``forms._form_blocks``, in (q^m, F) arrays, and reads rank and type from
+point counts alone (the bilinear radical and the zero count), sharing no
+code with ``classify``. Odd ranks over odd q are stored, untyped, under a merged
+``odd_total`` key: their coset and weight structure ignores the type.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InexactDivision, InternalInconsistency, OutOfRange, admit
 from .field import FiniteField, field_from_order
-from .forms import TYPE_LABELS, _form_blocks, _monomial_planes, triangle_pairs, triangle_size
+from .forms import TYPE_LABELS, _form_blocks, triangle_pairs, triangle_size
 # classify stays importable here, though the oracle no longer calls it:
 # perfbench/tracing.py wraps it under this module's name
 from .forms import classify  # noqa: F401
@@ -113,14 +113,14 @@ def census_formula(q: int, m: int, unit=1) -> CensusTable:
 
 def _rank_and_type(field: FiniteField, m: int, values: np.ndarray):
     """Rank and type tag of every form in ``values``, shape (q^m, F): the
-    column of form f holds Q_f on the points in index order. Tags are +1
-    and -1, and 0 for an untyped form (odd rank over even q).
+    column of form f holds Q_f on the points in index order. An even rank
+    has tag +1 or -1; every odd rank has tag 0, untyped over even q and
+    merged into ``odd_total`` over odd q, so its type is never read.
 
     The radical is {y : Q(y + e_i) = Q(y) + Q(e_i) for every i}, where the
     polar form B(y, .) vanishes, and for even q also Q(y) = 0; the rank
     is m - log_q of its size. An even rank has type +1 iff Q has more than
-    q^(m-1) zeros; an odd rank over odd q iff Q takes the value 1 more
-    than q^(m-1) times (the zero count is q^(m-1) for both types there).
+    q^(m-1) zeros.
     """
     q = field.q
     n = q ** m
@@ -138,9 +138,7 @@ def _rank_and_type(field: FiniteField, m: int, values: np.ndarray):
     if (dims < 0).any():
         raise InternalInconsistency("a radical size is not a power of q")
     rank = m - dims
-    even_tag = np.where(zeros.sum(axis=0) * q > n, 1, -1)
-    odd_tag = np.where((values == 1).sum(axis=0) * q > n, 1, -1) if q % 2 else 0
-    return rank, np.where(rank % 2, odd_tag, even_tag)
+    return rank, np.where(rank % 2, 0, np.where(zeros.sum(axis=0) * q > n, 1, -1))
 
 
 def census_exhaustive(q: int, m: int) -> CensusTable:
@@ -155,16 +153,15 @@ def census_exhaustive(q: int, m: int) -> CensusTable:
     """
     fld = field_from_order(q)
     admit(q ** (triangle_size(m) + m), EVAL_BUDGET, "evaluations")
-    # tally[rank, tag + 1], tags -1, 0 (untyped), +1
+    # tally[rank, tag + 1], tags -1, 0 (odd rank), +1
     tally = np.zeros(3 * (m + 1), dtype=np.int64)
     add = fld.add_array
-    for low, high in _form_blocks(fld, _monomial_planes(fld, m, triangle_pairs(m)), q ** m):
+    for low, high in _form_blocks(fld, m, triangle_pairs(m), q ** m):
         rank, tag = _rank_and_type(fld, m, add[low, high])
         tally += np.bincount(3 * rank + tag + 1, minlength=len(tally))
     label = _odd_rank_label(q)
     entries: dict[tuple[int, str], int] = {}
     for (rank, column), count in np.ndenumerate(tally.reshape(m + 1, 3)):
         if count:
-            key = (rank, label if rank % 2 else TYPE_LABELS[(-1, None, 1)[column]])
-            entries[key] = entries.get(key, 0) + int(count)
+            entries[rank, label if rank % 2 else TYPE_LABELS[(-1, None, 1)[column]]] = int(count)
     return CensusTable(q, m, entries)

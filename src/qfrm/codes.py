@@ -8,13 +8,14 @@ the class leads, read from ``spectra.merged_rows`` for rm2 (the coset of
 the first-order code the form leads) and from ``forms.zero_count_formula``
 for hrm2 and prm2. Every family also has a brute-force codeword
 enumerator, the independent oracle, which lists only the quadratic parts
-of the codewords; rm2 and prm2 read their weights from the affine-shift
-counts (``forms.affine_shift_counts``) of one shared enumeration, since
-the chart x_m = 1 of a prm2 word is an rm2 word. Frequencies are exact:
-ints from the library, and exact ``Decimal`` values when a builder is
-given the unit ``Decimal(1)``, as ``qfrm dist`` does under a trapping
-exact context so that its tables print in linear time. Either way one
-code path builds and checks them.
+of the codewords, in (q^m, F) arrays from ``forms._form_blocks``; rm2
+and prm2 read their weights from the affine-shift counts
+(``forms.affine_shift_counts``) of one shared enumeration, since the
+chart x_m = 1 of a prm2 word is an rm2 word. Frequencies are exact: ints
+from the library, and exact ``Decimal`` values when a builder is given
+the unit ``Decimal(1)``, as ``qfrm dist`` does under a trapping exact
+context so that its tables print in linear time. Either way one code
+path builds and checks them.
 
 Every table is checked as it is built: the frequencies must total q^k,
 which sees every census count of rank >= 1, and must satisfy the first
@@ -37,7 +38,6 @@ from .field import field_from_order
 from .forms import (
     TYPE_LABELS,
     _form_blocks,
-    _monomial_planes,
     affine_shift_counts,
     affine_shift_steps,
     triangle_pairs,
@@ -248,8 +248,8 @@ def _codeword_tallies(q: int, m: int, squares: bool) -> tuple[np.ndarray, np.nda
     span = (n - 1) // (q - 1) + 1  # hyperplane weights run from 0 to (q^m - 1)/(q - 1)
     pairs = [(i, j) for i, j in triangle_pairs(m) if squares or i != j]
     joint = np.zeros(span * (n + 1), dtype=np.int64)
-    for low, high in _form_blocks(field, _monomial_planes(field, m, pairs), q * q * n):
-        counts = affine_shift_counts(field, m, field.add_array[low, high].T)
+    for low, high in _form_blocks(field, m, pairs, q * q * n):
+        counts = affine_shift_counts(field, m, field.add_array[low, high])
         hyperplane, remainder = np.divmod(np.subtract(n, counts[:, :1, :1], dtype=np.int64), q - 1)
         if remainder.any():
             raise NonDivisibleWeight(f"hyperplane weight not divisible by {q - 1}")
@@ -301,7 +301,7 @@ def brute_force_distribution(
         field = field_from_order(q)
         neg = np.array([field.neg(a) for a in field.elements()], dtype=field.dtype)
         tally = np.zeros(n + 1, dtype=np.int64)
-        for low, high in _form_blocks(field, _monomial_planes(field, m, triangle_pairs(m)), n):
+        for low, high in _form_blocks(field, m, triangle_pairs(m), n):
             # the zero count: the points where low = -high
             weights = n - (low == neg[high]).sum(axis=0, dtype=np.min_scalar_type(n))
             tally += np.bincount(weights, minlength=n + 1)

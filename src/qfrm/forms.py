@@ -15,6 +15,11 @@ of element indices, coordinate i along axis i; raveling the grid gives
 the index order, in which the point with index n has the base-q digits
 of n as coordinates, leftmost coordinate most significant, so point 0 is
 the zero vector.
+
+This module is the one producer of point arrays. The oracles read their
+forms' values as one (q^m, F) array, column f holding form f in index
+order: from ``_form_blocks`` every combination of some monomials, from
+``_form_chunks`` listed forms.
 """
 
 from __future__ import annotations
@@ -178,51 +183,6 @@ def _term(field: FiniteField, m: int, i: int, j: int) -> np.ndarray:
     return mul.reshape((q,) + (1,) * (j - i - 1) + (q,) + (1,) * (m - 1 - j))
 
 
-def _monomial_planes(field: FiniteField, m: int, pairs) -> list[np.ndarray]:
-    """x_i x_j for each (i, j) in ``pairs``, on the q^m points in index order."""
-    shape = (field.q,) * m
-    return [np.broadcast_to(_term(field, m, i, j), shape).ravel() for i, j in pairs]
-
-
-def _block_rows(per_form: int) -> int:
-    """Forms one block holds: as many as keep ``per_form`` entries each
-    within ``_BLOCK``, at least one."""
-    return max(1, _BLOCK // per_form)
-
-
-def _form_chunks(forms, per_form):
-    """The listed ``forms`` in consecutive chunks of ``_block_rows(per_form)``."""
-    rows = _block_rows(per_form)
-    return [forms[i:i + rows] for i in range(0, len(forms), rows)]
-
-
-def _form_blocks(field, planes, per_form):
-    """Every linear combination of ``planes`` over the field, in blocks of
-    as many combinations as keep ``per_form`` entries each within
-    ``_BLOCK`` (at least one). A block is a pair (low, high) whose values
-    are low + high, point by point: ``low`` has one column per
-    combination of the last planes and is built once, ``high`` is one
-    column that walks the span of the rest. With no planes (m = 0) the
-    one combination is zero on the one point.
-
-    Over any q the span of the monomial planes x_i x_j (i <= j) is the set
-    of quadratic forms, one function per coefficient table: over odd q
-    the cross term 2 c_ij x_i x_j runs over the same span, as 2 is a unit.
-    """
-    add, mul = field.add_array, field.mul_array
-    rows = _block_rows(per_form)
-    low = np.zeros((len(planes[0]) if planes else 1, 1), dtype=field.dtype)
-    split = len(planes)
-    while split and low.shape[1] * field.q <= rows:
-        split -= 1
-        low = add[low[:, None, :], mul[:, planes[split]].T[:, :, None]].reshape(len(low), -1)
-    for coeffs in itertools.product(field.elements(), repeat=split):
-        high = low[:, :1]
-        for c, plane in zip(coeffs, planes):
-            high = add[high, mul[c][plane][:, None]]
-        yield low, high
-
-
 def values_on_domain(form: QuadraticForm) -> np.ndarray:
     """Q evaluated at every point of GF(q)^m in index order.
 
@@ -244,6 +204,49 @@ def values_on_domain(form: QuadraticForm) -> np.ndarray:
     return acc.ravel()
 
 
+def _block_rows(per_form: int) -> int:
+    """Forms one block holds: as many as keep ``per_form`` entries each
+    within ``_BLOCK``, at least one."""
+    return max(1, _BLOCK // per_form)
+
+
+def _form_chunks(forms, per_form):
+    """The values of ``forms``, all of one field and m, as one (q^m, F)
+    array per chunk of ``_block_rows(per_form)`` forms."""
+    rows = _block_rows(per_form)
+    for start in range(0, len(forms), rows):
+        yield np.stack([values_on_domain(Q) for Q in forms[start:start + rows]], axis=1)
+
+
+def _form_blocks(field, m, pairs, per_form):
+    """Every linear combination over the field of the monomials x_i x_j,
+    (i, j) in ``pairs``, in ``itertools.product`` order of the
+    coefficients, in blocks of as many as keep ``per_form`` entries each
+    within ``_BLOCK`` (at least one). A block is a pair (low, high) whose
+    values, shape (q^m, F), are add[low, high]: ``low`` has one column per
+    combination of the last monomials and is built once, ``high`` is one
+    column that walks the span of the rest. With no pairs the one
+    combination is zero on every point.
+
+    Over any q the span of the monomials x_i x_j (i <= j) is the set of
+    quadratic forms, one function per coefficient table: over odd q the
+    cross term 2 c_ij x_i x_j runs over the same span, as 2 is a unit.
+    """
+    add, mul = field.add_array, field.mul_array
+    planes = [np.broadcast_to(_term(field, m, i, j), (field.q,) * m).ravel() for i, j in pairs]
+    rows = _block_rows(per_form)
+    low = np.zeros((field.q ** m, 1), dtype=field.dtype)
+    split = len(planes)
+    while split and low.shape[1] * field.q <= rows:
+        split -= 1
+        low = add[low[:, None, :], mul[:, planes[split]].T[:, :, None]].reshape(len(low), -1)
+    for coeffs in itertools.product(field.elements(), repeat=split):
+        high = low[:, :1]
+        for c, plane in zip(coeffs, planes):
+            high = add[high, mul[c][plane][:, None]]
+        yield low, high
+
+
 def zero_count_exhaustive(form: QuadraticForm) -> int:
     """Count zeros by full enumeration of the q^m points, at most
     ``POINT_BUDGET`` of them."""
@@ -254,11 +257,12 @@ def zero_count_exhaustive(form: QuadraticForm) -> int:
 # -- affine-shift counts ------------------------------------------------------------
 
 def affine_shift_counts(field: FiniteField, m: int, values: np.ndarray) -> np.ndarray:
-    """H[f, L, s] = #{x in GF(q)^m : values[f, x] + L.x = s}, exactly.
+    """H[f, L, s] = #{x in GF(q)^m : values[x, f] + L.x = s}, exactly.
 
-    ``values`` has shape (F, q^m): F forms on the points in index order.
-    H has shape (F, q^m, q), L indexed like the points, in the smallest
-    dtype that holds q^m. The zero count of Q_f + L + c is H[f, L, -c].
+    ``values`` has shape (q^m, F), as ``_form_blocks`` and ``_form_chunks``
+    build it: column f holds form f on the points in index order. H has
+    shape (F, q^m, q), L indexed like the points, in the smallest dtype
+    that holds q^m. The zero count of Q_f + L + c is H[f, L, -c].
 
     Coordinates are transformed one at a time, as in the fast Hadamard
     transform (MacWilliams and Sloane, ch. 2): x_0 by one bincount of the
@@ -268,14 +272,14 @@ def affine_shift_counts(field: FiniteField, m: int, values: np.ndarray) -> np.nd
     keys when m = 1).
     """
     q = field.q
-    forms, n = values.shape
+    n, forms = values.shape
     dtype = np.min_scalar_type(n)
     if m == 0:
-        return (values[:, :, None] == np.arange(q)).astype(dtype)
+        return (values.reshape(forms, 1, 1) == np.arange(q)).astype(dtype)
     add, mul = field.add_array, field.mul_array
     rest = n // q * forms
     # keys[l, a, r] = ((V[a, r] + l*a) * q + l) * rest + r, for x_0 = a
-    keys = add[values.T.reshape(1, q, rest), mul[:, :, None]].astype(np.int64)
+    keys = add[values.reshape(1, q, rest), mul[:, :, None]].astype(np.int64)
     keys *= q * rest
     keys += np.arange(0, q * rest, rest)[:, None, None] + np.arange(rest)
     counts = np.bincount(keys.ravel(), minlength=q * q * rest).astype(dtype)

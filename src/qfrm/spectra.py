@@ -8,8 +8,9 @@ Three row sets are hand-derived: ``merged_rows`` over every constant (the
 rows the rm2 table reads), the zero class, and the square class at odd
 rank over odd q. The last class, ``nonzero`` or ``nonsquare``, is the
 merged rows minus the others. The brute-force oracle counts instead:
-``shift_tallies`` stacks the forms of one (q, m) and calls
-``forms.affine_shift_counts`` once per chunk of them, which gives the zero
+``shift_tallies`` reads the forms of one (q, m) from
+``forms._form_chunks``, in (q^m, F) arrays, and calls
+``forms.affine_shift_counts`` once per chunk, which gives the zero
 count of Q + L + c for every linear functional L and constant c at once,
 exactly, for q <= 1024; it keeps, per form and constant, only the sparse
 tally of those zero counts. The last batch's tallies are kept, so
@@ -37,9 +38,7 @@ from .census import _exact_div
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
 from .field import field_from_order  # noqa: F401
-from .forms import (
-    QuadraticForm, _form_chunks, affine_shift_counts, affine_shift_steps, validate_rank_type, values_on_domain
-)
+from .forms import QuadraticForm, _form_chunks, affine_shift_counts, affine_shift_steps, validate_rank_type
 
 DEFAULT_ORACLE_BUDGET = 1 << 24
 
@@ -261,21 +260,20 @@ def shift_tallies(forms: list[QuadraticForm]) -> tuple[tuple[MappingProxyType, .
     fld, m = forms[0].field, forms[0].m
     if any(Q.field != fld or Q.m != m for Q in forms):
         raise DimensionMismatch("a batch of forms shares one field and m")
-    out = [t for chunk in _form_chunks(forms, fld.q ** (m + 2)) for t in _chunk_tallies(chunk)]
+    out = [t for values in _form_chunks(forms, fld.q ** (m + 2)) for t in _chunk_tallies(fld, m, values)]
     _kept.clear()
     _kept.update(zip(forms, out))
     return tuple(out)
 
 
-def _chunk_tallies(chunk) -> list[tuple[MappingProxyType, ...]]:
-    """``shift_tallies`` of one chunk, from one kernel call; its arrays are
-    freed before the next chunk's call."""
-    fld, m = chunk[0].field, chunk[0].m
-    q, n = fld.q, fld.q ** m
-    neg = [fld.neg(c) for c in range(q)]
-    counts = affine_shift_counts(fld, m, np.stack([values_on_domain(Q) for Q in chunk]))
+def _chunk_tallies(field, m, values) -> list[tuple[MappingProxyType, ...]]:
+    """``shift_tallies`` of one chunk's values, shape (q^m, F), from one
+    kernel call; its arrays are freed before the next chunk's call."""
+    q, (n, forms) = field.q, values.shape
+    neg = [field.neg(c) for c in range(q)]
+    counts = affine_shift_counts(field, m, values)
     # H[f, L, s] = v as the key (f q + s)(n + 1) + v
-    width = len(chunk) * q
+    width = forms * q
     keys = np.add(counts, np.arange(0, width * (n + 1), n + 1).reshape(-1, 1, q), dtype=np.int64)
     tally = np.bincount(keys.ravel(order="K"), minlength=width * (n + 1))
     rows = [{} for _ in range(width)]
@@ -283,7 +281,7 @@ def _chunk_tallies(chunk) -> list[tuple[MappingProxyType, ...]]:
     for key, k in zip(found.tolist(), tally[found].tolist()):
         row, v = divmod(key, n + 1)
         rows[row][v] = k
-    return [tuple(MappingProxyType(rows[f * q + s]) for s in neg) for f in range(len(chunk))]
+    return [tuple(MappingProxyType(rows[f * q + s]) for s in neg) for f in range(forms)]
 
 
 def class_tally(form: QuadraticForm, tallies, c_class: str) -> SpectrumMultiset:

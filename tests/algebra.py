@@ -48,6 +48,14 @@ def evaluate(form, x):
     return form_values(form.field, form.m, [form.coeffs], x)[0]
 
 
+def odd_rank_tags(field, values):
+    """The type each form in ``values``, shape (q^m, F), one column per
+    form, carries when its rank is odd over odd q: +1 when Q takes the
+    value 1 more than q^(m-1) times, else -1. (Its zero count is q^(m-1)
+    for both types.)"""
+    return np.where((values == 1).sum(axis=0) * field.q > len(values), 1, -1)
+
+
 def substitute(form, A):
     """The form Q' with Q'(x) = Q(A x). Q(x) = x^T U x, with U symmetric
     over odd q and upper triangular over even q, so Q' is read off

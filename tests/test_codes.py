@@ -166,7 +166,7 @@ def test_check_codes_enumerates_once(monkeypatch, q, m, parts):
     real = codes.affine_shift_counts
 
     def counting(field, m, values):
-        transformed.append(len(values))
+        transformed.append(values.shape[1])
         return real(field, m, values)
 
     monkeypatch.setattr(codes, "affine_shift_counts", counting)
@@ -387,7 +387,7 @@ def test_brute_force_budget_checked_before_the_domain(monkeypatch):
     # hrm2 q=2 m=22 has 2^22 points; listing them alone takes tens of
     # seconds. The charge is read off (family, q, m): no field or plane is built
     monkeypatch.setattr(codes, "field_from_order", None)
-    monkeypatch.setattr(codes, "_monomial_planes", None)
+    monkeypatch.setattr(codes, "_form_blocks", None)
     for family, m in (("hrm2", 22), ("rm2", 40)):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
