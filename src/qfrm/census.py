@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InexactDivision, InternalInconsistency, OutOfRange, admit
+from .errors import InternalInconsistency, OutOfRange, _exact_div, admit
 from .field import FiniteField, field_from_order
 from .forms import TYPE_LABELS, _form_blocks, triangle_pairs, triangle_size
 # classify stays importable here, though the oracle no longer calls it:
@@ -31,13 +31,6 @@ from .forms import classify  # noqa: F401
 EVAL_BUDGET = 1 << 26
 
 LABEL_ORDER = {"plus": 0, "minus": 1, "untyped": 2, "odd_total": 3}
-
-
-def _exact_div(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InexactDivision(f"{numerator} is not divisible by {denominator}")
-    return quotient
 
 
 def count_odd_rank(q: int, m: int, r: int) -> int:

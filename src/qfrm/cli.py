@@ -52,6 +52,7 @@ from .errors import (
 from .field import MAX_ORDER, field_from_order
 from .forms import (
     TYPE_LABELS,
+    TYPE_TAGS,
     QuadraticForm,
     admissible_tags,
     canonical_form,
@@ -60,7 +61,7 @@ from .forms import (
     triangle_size,
     zero_count_formula,
 )
-from .spectra import DEFAULT_ORACLE_BUDGET, CosetQuery, spectrum_formula, spectrum_merged
+from .spectra import DEFAULT_ORACLE_BUDGET, CosetQuery, spectrum_formula
 from .verify import run_verification
 
 _COEFF_RE = re.compile(r"c\[(\d+)\]\[(\d+)\]=(\d+)")
@@ -157,6 +158,16 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _emit_table(args, head: dict, columns: tuple[str, ...], rows) -> None:
+    """The json or csv of a ``count`` or ``spectrum`` table: json is
+    ``head`` plus one object per row under ``entries``, csv the column
+    names, then one line per row."""
+    if args.format == "json":
+        _emit(args, json.dumps({**head, "entries": [dict(zip(columns, row)) for row in rows]}))
+    else:
+        _emit(args, "\n".join([",".join(columns)] + [",".join(map(str, row)) for row in rows]))
+
+
 def _exact(command):
     """Run the command under the exact context; the caller's is restored.
     dist and count build their tables in Decimal, so the counts print in
@@ -249,23 +260,19 @@ def _cmd_count(args) -> int:
             _emit(args, count_text(items[0][1]))
             return 0
     rows = [(r, l, count_text(c)) for (r, l), c in items]
-    if args.format == "json":
-        entries = [{"rank": r, "type": l, "count": c} for r, l, c in rows]
-        _emit(args, json.dumps({"q": table.q, "m": table.m, "entries": entries}))
-    elif args.format == "csv":
-        lines = ["rank,type,count"] + [f"{r},{l},{c}" for r, l, c in rows]
-        _emit(args, "\n".join(lines))
-    else:
+    if args.format == "text":
         lines = [f"rank={r} type={l} count={c}" for r, l, c in rows]
         lines.append(f"total={count_text(total)}")
         _emit(args, "\n".join(lines))
+    else:
+        _emit_table(args, {"q": table.q, "m": table.m}, ("rank", "type", "count"), rows)
     return 0
 
 
 def _infer_tag(q: int, rank: int, type_name: str | None):
     """The tag --type names, else the only admissible tag of the rank."""
     if type_name is not None:
-        return next(tag for tag, label in TYPE_LABELS.items() if label == type_name)
+        return TYPE_TAGS[type_name]
     tags = admissible_tags(q, rank)
     if len(tags) > 1:
         raise QfrmError("this (q, rank) needs an explicit --type plus|minus")
@@ -276,27 +283,15 @@ def _cmd_spectrum(args) -> int:
     _check_m_rank(args.m, args.rank)
     _check_output_size(args.q, args.m + 1)
     tag = _infer_tag(args.q, args.rank, args.type)
-    if args.c_class == "merged":
-        spectrum = spectrum_merged(args.q, args.m, args.rank, tag)
+    spectrum = spectrum_formula(CosetQuery(args.q, args.m, args.rank, tag, args.c_class))
+    population = count_text(spectrum.population)
+    rows = [(count_text(v), count_text(k)) for v, k in spectrum.sorted_items()]
+    if args.format == "text":
+        _emit(args, "\n".join([f"population={population}"] + [f"{v} {k}" for v, k in rows]))
     else:
-        spectrum = spectrum_formula(CosetQuery(args.q, args.m, args.rank, tag, args.c_class))
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "q": args.q,
-            "m": args.m,
-            "rank": args.rank,
-            "type": TYPE_LABELS[tag],
-            "c_class": args.c_class,
-            "population": count_text(spectrum.population),
-            "entries": spectrum.to_json_entries(),
-        }))
-    elif args.format == "csv":
-        lines = ["value,multiplicity"] + [f"{v},{k}" for v, k in spectrum.text_items()]
-        _emit(args, "\n".join(lines))
-    else:
-        lines = [f"population={count_text(spectrum.population)}"]
-        lines += [f"{v} {k}" for v, k in spectrum.text_items()]
-        _emit(args, "\n".join(lines))
+        head = {"q": args.q, "m": args.m, "rank": args.rank, "type": TYPE_LABELS[tag],
+                "c_class": args.c_class, "population": population}
+        _emit_table(args, head, ("value", "multiplicity"), rows)
     return 0
 
 

@@ -32,11 +32,11 @@ import numpy as np
 
 # count_even_rank and count_odd_rank stay importable here: perfbench/tracing.py
 # wraps them under this module's names
-from .census import _exact_div, census_formula, count_even_rank, count_odd_rank  # noqa: F401
-from .errors import InternalInconsistency, NonDivisibleWeight, UnsupportedParameters, admit, count_text
+from .census import census_formula, count_even_rank, count_odd_rank  # noqa: F401
+from .errors import InternalInconsistency, NonDivisibleWeight, UnsupportedParameters, _exact_div, admit, count_text
 from .field import field_from_order
 from .forms import (
-    TYPE_LABELS,
+    TYPE_TAGS,
     _form_blocks,
     affine_shift_counts,
     affine_shift_steps,
@@ -158,7 +158,7 @@ def code_parameters(family: str, q: int, m: int) -> CodeParameters:
 
 # census label -> the tag whose rows stand for the class; an odd_total count
 # covers both types of an odd rank, whose coset rows and zero counts agree
-_LABEL_TAGS = {label: tag for tag, label in TYPE_LABELS.items()} | {"odd_total": 1}
+_LABEL_TAGS = TYPE_TAGS | {"odd_total": 1}
 
 
 # -- closed-form distributions -----------------------------------------------------

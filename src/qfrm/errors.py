@@ -112,5 +112,12 @@ class InexactDivision(InternalInconsistency, ArithmeticError):
     """A closed-form count failed its exact-divisibility check."""
 
 
+def _exact_div(numerator: int, denominator: int) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InexactDivision(f"{numerator} is not divisible by {denominator}")
+    return quotient
+
+
 class NonDivisibleWeight(InternalInconsistency, ArithmeticError):
     """A weight expected to be divisible by q - 1 is not."""

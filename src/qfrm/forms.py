@@ -16,10 +16,15 @@ the index order, in which the point with index n has the base-q digits
 of n as coordinates, leftmost coordinate most significant, so point 0 is
 the zero vector.
 
-This module is the one producer of point arrays. The oracles read their
-forms' values as one (q^m, F) array, column f holding form f in index
-order: from ``_form_blocks`` every combination of some monomials, from
-``_form_chunks`` listed forms.
+This module is the one producer of point arrays, in one (q^m, F) layout,
+column f holding form f in index order. ``_form_chunks`` yields listed
+forms' values as such an array. ``_form_blocks``, which walks every
+combination of some monomials, yields (low, high) pairs whose
+``add[low, high]`` is that array, so a caller that needs less than the
+values need not build them: the hrm2 oracle counts zeros as the points
+where low = -high, which measured 0.21 against 0.33 ms at (q, m) = (3, 3),
+40 against 766 ms at (2, 6) and 79 against 281 ms at (31, 2), compared with
+building ``add[low, high]`` and counting its zeros.
 """
 
 from __future__ import annotations
@@ -124,6 +129,8 @@ class QuadraticForm:
 
 # the text label of each type tag, in census and CLI output
 TYPE_LABELS = {1: "plus", -1: "minus", None: "untyped"}
+# the type tag of each label
+TYPE_TAGS = {label: tag for tag, label in TYPE_LABELS.items()}
 
 
 def admissible_tags(q: int, rank: int) -> tuple:

@@ -3,24 +3,25 @@ function, split by the class of the constant term, plus the weight
 multiset of the matching first-order-code coset.
 
 The closed forms depend only on (q, m, rank, type, class), all behind
-``spectrum_formula``, for the classes that ``constant_classes`` names.
-Three row sets are hand-derived: ``merged_rows`` over every constant (the
-rows the rm2 table reads), the zero class, and the square class at odd
-rank over odd q. The last class, ``nonzero`` or ``nonsquare``, is the
-merged rows minus the others. The brute-force oracle counts instead:
-``shift_tallies`` reads the forms of one (q, m) from
-``forms._form_chunks``, in (q^m, F) arrays, and calls
-``forms.affine_shift_counts`` once per chunk, which gives the zero
-count of Q + L + c for every linear functional L and constant c at once,
+``spectrum_formula``, for the classes that ``constant_classes`` names
+and the class ``merged`` of all q constants, the multiset of the coset
+of the first-order code the form leads. Three row sets are hand-derived:
+``merged_rows`` (the rows the rm2 table reads), the zero class, and the
+square class at odd rank over odd q. The last class of the split,
+``nonzero`` or ``nonsquare``, is the merged rows minus the others. The
+brute-force oracle counts instead: ``shift_tallies`` reads the forms of
+one (q, m) from ``forms._form_chunks``, in (q^m, F) arrays, and calls
+``forms.affine_shift_counts`` once per chunk, which gives the zero count
+of Q + L + c for every linear functional L and constant c at once,
 exactly, for q <= 1024; it keeps, per form and constant, only the sparse
 tally of those zero counts. The last batch's tallies are kept, so
 ``spectrum_oracle`` and ``merged_oracle`` read every class of a form in
 that batch without a transform, and transform any other form as a batch
 of one. A class multiset covers the whole class: the single constant 0
-for ``zero``, the (q-1)/2 square or nonsquare constants, or all q-1
-nonzero constants for ``nonzero``, so oracle and formula agree
-entrywise. The oracle's budget counts ``forms.affine_shift_steps(q, m)``,
-the transform steps per form.
+for ``zero``, the (q-1)/2 square or nonsquare constants, all q-1 nonzero
+constants for ``nonzero``, or all q constants for ``merged``, so oracle
+and formula agree entrywise. The oracle's budget counts
+``forms.affine_shift_steps(q, m)``, the transform steps per form.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, InconsistentQuery, InternalInconsistency, UnsupportedForBinary, admit, count_text
+    DimensionMismatch, InconsistentQuery, InternalInconsistency, UnsupportedForBinary, _exact_div, admit
 )
-from .census import _exact_div
 # field_from_order stays importable here: perfbench/tracing.py wraps it under
 # this module's name
 from .field import field_from_order  # noqa: F401
@@ -46,6 +46,7 @@ CLASS_ZERO = "zero"
 CLASS_SQUARE = "square"
 CLASS_NONSQUARE = "nonsquare"
 CLASS_NONZERO = "nonzero"
+CLASS_MERGED = "merged"
 
 
 def constant_classes(q: int, rank: int) -> tuple[str, ...]:
@@ -76,16 +77,12 @@ class SpectrumMultiset:
     def sorted_items(self):
         return sorted(self.entries.items())
 
-    def text_items(self):
-        """``sorted_items`` as decimal text, however long the numbers."""
-        return [(count_text(v), count_text(k)) for v, k in self.sorted_items()]
-
-    def to_json_entries(self):
-        return [{"value": v, "multiplicity": k} for v, k in self.text_items()]
-
 
 @dataclass(frozen=True)
 class CosetQuery:
+    """A class of constants c for the shifts Q + L + c of a form of this
+    rank and type: one of ``constant_classes``, or ``merged``, every constant."""
+
     q: int
     m: int
     rank: int
@@ -95,18 +92,15 @@ class CosetQuery:
     def __post_init__(self):
         validate_rank_type(self.q, self.m, self.rank, self.type_tag)
         classes = constant_classes(self.q, self.rank)
-        if self.c_class not in classes:
+        if self.c_class not in classes + (CLASS_MERGED,):
             raise InconsistentQuery(
                 f"rank {self.rank} over GF({self.q}) splits constants into "
                 f"{', '.join(classes)}, not {self.c_class!r}"
             )
 
     def class_size(self) -> int:
-        if self.c_class == CLASS_ZERO:
-            return 1
-        if self.c_class == CLASS_NONZERO:
-            return self.q - 1
-        return (self.q - 1) // 2
+        q = self.q
+        return {CLASS_ZERO: 1, CLASS_NONZERO: q - 1, CLASS_MERGED: q}.get(self.c_class, (q - 1) // 2)
 
 
 # -- class rows: (zero count, multiplicity) summed over the constants of a class --
@@ -155,6 +149,8 @@ def _class_rows(q, m, r, tau, c_class):
         return _zero_rows(q, m, r, tau)
     if c_class == CLASS_SQUARE:
         return _square_rows(q, m, r, tau)
+    if c_class == CLASS_MERGED:
+        return merged_rows(q, m, r, tau)
     # the last class: the merged rows less those of the other classes
     others = constant_classes(q, r)[:-1]
     return merged_rows(q, m, r, tau) + [
@@ -162,26 +158,21 @@ def _class_rows(q, m, r, tau, c_class):
     ]
 
 
-def _checked(rows, q, m, size, with_zero):
-    """The multiset of ``rows`` over the shifts Q + L + c for the ``size``
-    constants c of a class, checked against its first moment: a point
-    x != 0 is a zero of q^(m-1) of the Q + L + c for each c, and the point
-    0 of all q^m when c = 0 (``with_zero``)."""
-    n = q ** m
+def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
+    """Zero-count multiset over {Q + L + c : L linear, c in the class},
+    checked against its first moment: a point x != 0 is a zero of
+    q^(m-1) of the Q + L + c for each c, and the point 0 of all q^m when
+    the class holds c = 0."""
+    q, m = query.q, query.m
+    n, size = q ** m, query.class_size()
     out: Counter = Counter()
-    for value, freq in rows:
+    for value, freq in _class_rows(q, m, query.rank, query.type_tag, query.c_class):
         out[value] += freq
     spectrum = SpectrumMultiset(dict(out), size * n)
+    with_zero = query.c_class in (CLASS_ZERO, CLASS_MERGED)
     if sum(v * k for v, k in spectrum.entries.items()) != size * (n - 1) * n // q + n * with_zero:
         raise InternalInconsistency("zero counts break the first moment")
     return spectrum
-
-
-def spectrum_formula(query: CosetQuery) -> SpectrumMultiset:
-    """Zero-count multiset over {Q + L + c : L linear, c in the class}."""
-    q, m = query.q, query.m
-    rows = _class_rows(q, m, query.rank, query.type_tag, query.c_class)
-    return _checked(rows, q, m, query.class_size(), query.c_class == CLASS_ZERO)
 
 
 def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
@@ -207,8 +198,7 @@ def merged_rows(q: int, m: int, rank: int, type_tag) -> list[tuple[int, int]]:
 
 def spectrum_merged(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:
     """Zero-count multiset over all q^(m+1) shifts Q + L + c, c ranging over GF(q)."""
-    validate_rank_type(q, m, rank, type_tag)
-    return _checked(merged_rows(q, m, rank, type_tag), q, m, q, True)
+    return spectrum_formula(CosetQuery(q, m, rank, type_tag, CLASS_MERGED))
 
 
 def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultiset:
@@ -228,14 +218,14 @@ def coset_weight_multiset(q: int, m: int, rank: int, type_tag) -> SpectrumMultis
 # -- brute-force oracle ------------------------------------------------------------
 
 def class_constants(field, c_class: str) -> list[int]:
-    """The constants of the class, or of every class for ``"all"``."""
+    """The constants of the class, all q of them for ``merged``."""
     q = field.q
     if c_class in (CLASS_SQUARE, CLASS_NONSQUARE):
         if q % 2 == 0:
             raise InconsistentQuery("square classes need odd q")
         want = 1 if c_class == CLASS_SQUARE else -1
         return [c for c in range(1, q) if field.quadratic_character(c) == want]
-    spans = {CLASS_ZERO: range(1), CLASS_NONZERO: range(1, q), "all": range(q)}
+    spans = {CLASS_ZERO: range(1), CLASS_NONZERO: range(1, q), CLASS_MERGED: range(q)}
     if c_class not in spans:
         raise InconsistentQuery(f"unknown constant class {c_class!r}")
     return list(spans[c_class])
@@ -299,8 +289,7 @@ def spectrum_oracle(
 ) -> SpectrumMultiset:
     """Tally N(Q + L + c) over every linear functional L and every c in the class.
 
-    Accepts the formula classes plus ``"all"`` for the merged tally over
-    every constant. Each call is charged one transform before any tally
+    Accepts every class of ``spectrum_formula``, ``merged`` included. Each call is charged one transform before any tally
     is read. A form of the last ``shift_tallies`` batch reads that
     batch's kept tallies; any other form is transformed as a batch of one.
     """
@@ -311,4 +300,4 @@ def spectrum_oracle(
 
 def merged_oracle(form: QuadraticForm, max_evals: int = DEFAULT_ORACLE_BUDGET) -> SpectrumMultiset:
     """Oracle tally over every constant, for comparison with spectrum_merged."""
-    return spectrum_oracle(form, "all", max_evals=max_evals)
+    return spectrum_oracle(form, CLASS_MERGED, max_evals=max_evals)

@@ -514,12 +514,12 @@ def test_spectrum_inconsistent_class(capsys):
 RANK_TYPE_SWEEP_SHA256 = "807df6da7e4fcc9a7df8b313e00192130cf8bc0b2cd34444ff7729b90ba495cf"
 
 
-def _rank_type_sweep():
+def _rank_type_sweep(formats=("text", "json")):
     for q in (2, 3, 4, 9):
         for m in range(4):
             for rank in range(-1, m + 2):
                 head = ["--q", str(q), "--m", str(m), "--rank", str(rank)]
-                for fmt in ("text", "json"):
+                for fmt in formats:
                     for typ in (None, "plus", "minus"):
                         yield ["count", *head, "--format", fmt] + (["--type", typ] if typ else [])
                     for c_class in ("zero", "square", "nonsquare", "nonzero", "merged"):
@@ -534,6 +534,27 @@ def test_rank_type_sweep_is_byte_identical(capsys):
         code = main(argv)
         digest.update(repr((argv, code, capsys.readouterr().out)).encode())
     assert digest.hexdigest() == RANK_TYPE_SWEEP_SHA256
+
+
+# sha256 of every (argv, exit code, stdout) in _table_csv_commands, recorded
+# before count and spectrum shared one table writer: every csv row of both
+# commands, from the rank-type sweep and whole censuses at large m
+TABLE_CSV_SHA256 = "b9c7856e1230415106607246c2cabd1a716fbae59d5bf38f73d85abd4ecdd561"
+
+
+def _table_csv_commands():
+    yield from _rank_type_sweep(formats=("csv",))
+    for q in (2, 3, 4, 9):
+        for m in (12, 40):
+            yield ["count", "--q", str(q), "--m", str(m), "--format", "csv"]
+
+
+def test_table_csv_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for argv in _table_csv_commands():
+        code = main(argv)
+        digest.update(repr((argv, code, capsys.readouterr().out)).encode())
+    assert digest.hexdigest() == TABLE_CSV_SHA256
 
 
 # sha256 of every (argv, exit code, stdout) in _closed_form_commands, recorded

@@ -85,18 +85,45 @@ def test_class_constants():
     assert class_constants(FIELDS[5], "square") == [1, 4]
     assert class_constants(FIELDS[5], "nonsquare") == [2, 3]
     assert class_constants(FIELDS[4], "nonzero") == [1, 2, 3]
-    assert class_constants(FIELDS[4], "all") == [0, 1, 2, 3]
+    assert class_constants(FIELDS[4], "merged") == [0, 1, 2, 3]
     with pytest.raises(InconsistentQuery, match="square classes need odd q"):
         class_constants(FIELDS[4], "square")
     with pytest.raises(InconsistentQuery, match="unknown constant class"):
         class_constants(FIELDS[3], "bogus")
 
 
+def test_merged_is_one_more_class():
+    # the class of all q constants, in the formula and the oracle alike;
+    # "all", the oracle's old name for it, is refused everywhere
+    for q in (2, 3, 4, 5, 9):
+        fld = FIELDS[q]
+        assert class_constants(fld, "merged") == list(range(q))
+        with pytest.raises(InconsistentQuery, match="unknown constant class 'all'"):
+            class_constants(fld, "all")
+        for m in range(4):
+            for rank in range(m + 1):
+                for tag in admissible_tags(q, rank):
+                    query = CosetQuery(q, m, rank, tag, "merged")
+                    assert query.class_size() == q
+                    formula = spectrum_formula(query)
+                    merged = spectrum_merged(q, m, rank, tag)
+                    assert formula.entries == merged.entries
+                    assert formula.population == merged.population == q ** (m + 1)
+                    Q = canonical_form(fld, m, rank, tag)
+                    oracle = spectrum_oracle(Q, "merged")
+                    assert oracle.entries == merged_oracle(Q).entries == formula.entries
+                    assert oracle.population == q ** (m + 1)
+                    with pytest.raises(InconsistentQuery):
+                        CosetQuery(q, m, rank, tag, "all")
+                    with pytest.raises(InconsistentQuery, match="unknown constant class 'all'"):
+                        spectrum_oracle(Q, "all")
+
+
 def test_oracle_is_charged_one_transform_per_call():
     # every class costs the form's one transform, whatever its size
     Q = canonical_form(FIELDS[5], 3, 3, 1)
     steps = affine_shift_steps(5, 3)
-    for c_class in ("zero", "square", "nonsquare", "all"):
+    for c_class in ("zero", "square", "nonsquare", "merged"):
         assert spectrum_oracle(Q, c_class, max_evals=steps).population > 0
         with pytest.raises(
             BudgetExceeded, match=f"^{steps} transform steps per form exceed {steps - 1}$"
@@ -263,11 +290,11 @@ def _direct_zero_counts(form):
 
 def _oracle_classes(q):
     """Every class the oracle accepts over GF(q), whatever the rank."""
-    return ("zero", "nonzero", "all") + (("square", "nonsquare") if q % 2 else ())
+    return ("zero", "nonzero", "merged") + (("square", "nonsquare") if q % 2 else ())
 
 
 def _direct_spectrum(hist, fld, c_class):
-    if c_class == "all":
+    if c_class == "merged":
         cs = range(fld.q)
     elif c_class == "zero":
         cs = [0]
@@ -300,7 +327,7 @@ def test_shared_transform_matches_direct_count(q, m):
         for Q, c_class in calls:
             expected = _direct_spectrum(hists[Q], fld, c_class)
             assert spectrum_oracle(Q, c_class).entries == expected, (Q, c_class)
-        assert merged_oracle(pair[0]).entries == _direct_spectrum(hists[pair[0]], fld, "all")
+        assert merged_oracle(pair[0]).entries == _direct_spectrum(hists[pair[0]], fld, "merged")
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -326,7 +353,7 @@ def test_shift_counts_are_read_only():
         tallies[0] = ()
     spectrum_oracle(Q, "zero").entries.clear()
     merged_oracle(Q).entries[3] = 0
-    spectra.class_tally(Q, tallies[0], "all").entries.clear()
+    spectra.class_tally(Q, tallies[0], "merged").entries.clear()
     assert [dict(t) for t in spectra._kept[Q]] == before
     assert spectrum_oracle(Q, "zero").entries == _direct_spectrum(_direct_zero_counts(Q), FIELDS[3], "zero")
 
@@ -368,8 +395,8 @@ def test_batched_oracle_equals_the_one_form_oracle(q, m):
         spectra._kept.clear()
         alone = {c: spectrum_oracle(Q, c).entries for c in _oracle_classes(q)}
         assert batched == alone, Q
-        assert merged_oracle(Q).entries == batched["all"]
-        assert sum(v * k for v, k in batched["all"].items()) == q ** (2 * m)
+        assert merged_oracle(Q).entries == batched["merged"]
+        assert sum(v * k for v, k in batched["merged"].items()) == q ** (2 * m)
 
 
 def test_batch_refuses_forms_of_two_fields():
